@@ -1,26 +1,38 @@
-// Scale gate (docs/formats.md): cold-load wall time and per-process RSS to a
-// query-ready city (network + spatial index) at ~10k and ~100k directed
-// segments, comparing the v2 streaming-heap path against the v3 mmap
-// zero-copy path. Writes bench_out/BENCH_scale.json; tools/check_perf.sh
-// gates v3 being >= 5x faster at the 100k scale.
+// Scale gates at ~10k and ~100k directed segments. Writes
+// bench_out/BENCH_scale.json with two kinds of rows:
+//
+//   * "cold_load" (docs/formats.md): cold-load wall time and per-process RSS
+//     to a query-ready city (network + spatial index), comparing the v2
+//     streaming-heap path against the v3 mmap zero-copy path.
+//     tools/check_perf.sh gates v3 being >= 5x faster at the 100k scale.
+//   * "beam_predict" (docs/inference.md): beam PredictRoute thread-CPU time
+//     per returned transition for one seeded H=64 model config and one
+//     seeded query geometry around the city centre, median of 5 runs.
+//     tools/check_perf.sh gates the 100k/10k ratio at <= 1.2: per-step cost
+//     must not grow with city size.
 //
 // Each cold load runs in a fresh child process (this binary re-exec'd with
 // --load-child), so VmRSS reflects exactly one loaded city and no allocator
 // or page-cache state leaks between measurements of the two formats.
 
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/deepst_model.h"
 #include "roadnet/grid_city.h"
 #include "roadnet/io.h"
 #include "roadnet/spatial_index.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -115,6 +127,74 @@ struct ScaleRow {
   double speedup_vs_v2 = 1.0;
 };
 
+double ThreadCpuUs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 +
+         static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
+// One city's beam-predict workload: the shipped default model config
+// (H=64, beam width 4) under a fixed seed, and queries whose origin and
+// destination sit at the same seeded offsets from the city centre in every
+// city, so both scales decode comparable routes.
+struct PredictWorkload {
+  std::string tag;
+  std::unique_ptr<deepst::roadnet::RoadNetwork> net;
+  std::unique_ptr<deepst::core::DeepSTModel> model;
+  std::vector<deepst::core::PredictionContext> ctxs;
+  std::vector<deepst::roadnet::SegmentId> origins;
+  std::vector<double> us_per_transition;  // one entry per timed run
+  long transitions = 0;
+};
+
+void PreparePredict(const deepst::roadnet::SpatialIndex& index,
+                    int num_queries, PredictWorkload* w) {
+  deepst::core::DeepSTConfig cfg;
+  cfg.use_traffic = false;      // context is per query, not per step
+  cfg.memo_cache_capacity = 0;  // repeated runs must not replay steps
+  w->model = std::make_unique<deepst::core::DeepSTModel>(*w->net, cfg,
+                                                         nullptr);
+  const deepst::geo::BoundingBox& b = w->net->bounds();
+  const deepst::geo::Point centre{(b.min.x + b.max.x) / 2.0,
+                                  (b.min.y + b.max.y) / 2.0};
+  deepst::util::Rng rng(20260417);
+  for (int i = 0; i < num_queries; ++i) {
+    const deepst::geo::Point from{centre.x + rng.Uniform(-1500.0, 1500.0),
+                                  centre.y + rng.Uniform(-1500.0, 1500.0)};
+    deepst::core::RouteQuery query;
+    query.origin = index.Nearest(from).segment;
+    query.destination = {from.x + rng.Uniform(-3000.0, 3000.0),
+                         from.y + rng.Uniform(-3000.0, 3000.0)};
+    w->ctxs.push_back(w->model->MakeContext(query, &rng));
+    w->origins.push_back(query.origin);
+  }
+}
+
+// Runs every query once; records thread-CPU microseconds per returned
+// transition when `record`.
+void RunPredict(bool record, PredictWorkload* w) {
+  long transitions = 0;
+  const double start = ThreadCpuUs();
+  for (size_t i = 0; i < w->ctxs.size(); ++i) {
+    deepst::util::Rng rng(7);
+    const deepst::traj::Route route =
+        w->model->PredictRoute(w->ctxs[i], w->origins[i], &rng);
+    transitions += static_cast<long>(route.size()) - 1;
+  }
+  const double elapsed = ThreadCpuUs() - start;
+  w->transitions = transitions;
+  if (record && transitions > 0) {
+    w->us_per_transition.push_back(elapsed / static_cast<double>(transitions));
+  }
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
 bool FastMode() {
   const char* v = std::getenv("DEEPST_FAST");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
@@ -151,6 +231,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ScaleRow> rows;
+  std::vector<PredictWorkload> predicts;
   for (const auto& [tag, config] : scales) {
     std::fprintf(stderr, "[scale %s] building city...\n", tag.c_str());
     auto net = deepst::roadnet::BuildChengduFull(config);
@@ -166,7 +247,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "[scale %s] %d segments; measuring cold loads\n",
                  tag.c_str(), net->num_segments());
-    net.reset();
+    predicts.emplace_back();
+    predicts.back().tag = tag;
+    predicts.back().net = std::move(net);
+    PreparePredict(index, FastMode() ? 4 : 16, &predicts.back());
 
     const LoadSample v2 = MeasureColdLoad(exe, v2_path, runs);
     const LoadSample v3 = MeasureColdLoad(exe, v3_path, runs);
@@ -181,16 +265,37 @@ int main(int argc, char** argv) {
     std::remove(v3_path.c_str());
   }
 
+  // Beam predict per transition: one untimed warm-up pass per city, then
+  // the timed runs alternate between cities so host drift hits both alike.
+  constexpr int kPredictRuns = 5;
+  for (PredictWorkload& w : predicts) RunPredict(/*record=*/false, &w);
+  for (int r = 0; r < kPredictRuns; ++r) {
+    for (PredictWorkload& w : predicts) RunPredict(/*record=*/true, &w);
+  }
+  for (const PredictWorkload& w : predicts) {
+    std::fprintf(stderr,
+                 "[scale %s] beam predict %.2f us/transition (%zu queries, "
+                 "%ld transitions per run)\n",
+                 w.tag.c_str(), Median(w.us_per_transition), w.ctxs.size(),
+                 w.transitions);
+  }
+
   const std::string json_path = out_dir + "/BENCH_scale.json";
   std::ofstream json(json_path);
   json << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& r = rows[i];
-    json << "  {\"segments\": " << r.segments << ", \"format\": \""
-         << r.format << "\", \"load_s\": " << r.load_s
+  for (const ScaleRow& r : rows) {
+    json << "  {\"kind\": \"cold_load\", \"segments\": " << r.segments
+         << ", \"format\": \"" << r.format << "\", \"load_s\": " << r.load_s
          << ", \"rss_kb\": " << r.rss_kb
-         << ", \"speedup_vs_v2\": " << r.speedup_vs_v2 << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
+         << ", \"speedup_vs_v2\": " << r.speedup_vs_v2 << "},\n";
+  }
+  for (size_t i = 0; i < predicts.size(); ++i) {
+    const PredictWorkload& w = predicts[i];
+    json << "  {\"kind\": \"beam_predict\", \"segments\": "
+         << w.net->num_segments() << ", \"queries\": " << w.ctxs.size()
+         << ", \"transitions\": " << w.transitions
+         << ", \"us_per_transition\": " << Median(w.us_per_transition) << "}"
+         << (i + 1 < predicts.size() ? "," : "") << "\n";
   }
   json << "]\n";
   if (!json.good()) {

@@ -16,6 +16,13 @@ using roadnet::SegmentId;
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Loop guard: a hypothesis never revisits a segment on its own route. The
+// route is the visited set exactly and holds at most max_route_steps + 2
+// ids, so a scan of it beats any per-segment set and sizes nothing by city.
+bool OnRoute(const traj::Route& route, SegmentId seg) {
+  return std::find(route.begin(), route.end(), seg) != route.end();
+}
 }  // namespace
 
 double InferenceSession::Hyp::Score() const {
@@ -79,18 +86,11 @@ InferenceSession::InferenceSession(const DeepSTModel* model)
   // Fixed-capacity hypothesis pools: one beam step produces at most
   // width carried-over hypotheses plus width expansions per active beam.
   const int width = std::max(config_.beam_width, 1);
-  const size_t nseg = static_cast<size_t>(net_.num_segments());
   const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
   beams_.resize(static_cast<size_t>(width));
   pool_.resize(static_cast<size_t>(width) * static_cast<size_t>(width + 1));
-  for (Hyp& h : beams_) {
-    h.route.reserve(route_cap);
-    h.visited.resize(nseg, 0);
-  }
-  for (Hyp& h : pool_) {
-    h.route.reserve(route_cap);
-    h.visited.resize(nseg, 0);
-  }
+  for (Hyp& h : beams_) h.route.reserve(route_cap);
+  for (Hyp& h : pool_) h.route.reserve(route_cap);
 }
 
 nn::infer::MemoKey InferenceSession::ContextKey(
@@ -371,8 +371,6 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
   traj::Route route;
   route.reserve(static_cast<size_t>(config_.max_route_steps) + 2);
   route.push_back(origin);
-  visited_.assign(static_cast<size_t>(net_.num_segments()), 0);
-  visited_[static_cast<size_t>(origin)] = 1;
   SegmentId cur = origin;
   // Memo key chain: ctx signature mixed with every token fed so far. A hit
   // replays the cached logits and post-step state bitwise, so the rest of
@@ -405,9 +403,7 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
     int best = -1;
     if (config_.map_prediction) {
       for (int s = 0; s < static_cast<int>(outs.size()); ++s) {
-        if (visited_[static_cast<size_t>(outs[static_cast<size_t>(s)])]) {
-          continue;
-        }
+        if (OnRoute(route, outs[static_cast<size_t>(s)])) continue;
         if (best < 0 || lv[s] > lv[best]) best = s;
       }
     } else {
@@ -415,13 +411,13 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
       double mx = -1e30;
       bool any = false;
       for (size_t s = 0; s < outs.size(); ++s) {
-        if (visited_[static_cast<size_t>(outs[s])]) continue;
+        if (OnRoute(route, outs[s])) continue;
         mx = std::max(mx, static_cast<double>(lv[s]));
         any = true;
       }
       if (any) {
         for (size_t s = 0; s < outs.size(); ++s) {
-          if (visited_[static_cast<size_t>(outs[s])]) continue;
+          if (OnRoute(route, outs[s])) continue;
           weights_[s] = std::exp(lv[s] - mx);
         }
         best = rng->Categorical(weights_);
@@ -430,7 +426,6 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
     if (best < 0) break;  // boxed in by visited segments
     const SegmentId next = outs[static_cast<size_t>(best)];
     route.push_back(next);
-    visited_[static_cast<size_t>(next)] = 1;
     if (ShouldStop(net_, ctx.destination, next, config_, rng)) break;
     cur = next;
   }
@@ -439,7 +434,6 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
 
 void InferenceSession::CopyHyp(const Hyp& src, Hyp* dst) {
   dst->route.assign(src.route.begin(), src.route.end());
-  dst->visited.assign(src.visited.begin(), src.visited.end());
   dst->log_prob = src.log_prob;
   dst->done = src.done;
   dst->src_row = src.src_row;
@@ -460,8 +454,6 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
   Hyp& root = beams_[0];
   root.route.clear();
   root.route.push_back(origin);
-  std::fill(root.visited.begin(), root.visited.end(), 0);
-  root.visited[static_cast<size_t>(origin)] = 1;
   root.log_prob = 0.0;
   root.done = false;
   root.src_row = -1;
@@ -575,9 +567,7 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
       const int deg = static_cast<int>(outs.size());
       ranked_.clear();
       for (int s = 0; s < deg; ++s) {
-        if (beam.visited[static_cast<size_t>(outs[static_cast<size_t>(s)])]) {
-          continue;
-        }
+        if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
         ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
       }
       if (ranked_.empty()) {  // boxed in: terminate this hypothesis
@@ -602,7 +592,6 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
         const SegmentId seg =
             outs[static_cast<size_t>(ranked_[static_cast<size_t>(e)].second)];
         nxt.route.push_back(seg);
-        nxt.visited[static_cast<size_t>(seg)] = 1;
         nxt.done = ShouldStop(net_, ctx.destination, seg, config_, rng);
       }
     }
@@ -685,8 +674,8 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
 
 void InferenceSession::EnsureQueryBeams(size_t count) {
   if (query_beams_.size() >= count) return;
+  ++scratch_grow_count_;
   const int width = std::max(config_.beam_width, 1);
-  const size_t nseg = static_cast<size_t>(net_.num_segments());
   const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
   const size_t old = query_beams_.size();
   query_beams_.resize(count);
@@ -694,14 +683,8 @@ void InferenceSession::EnsureQueryBeams(size_t count) {
     QueryBeam& qb = query_beams_[q];
     qb.beams.resize(static_cast<size_t>(width));
     qb.pool.resize(static_cast<size_t>(width) * static_cast<size_t>(width + 1));
-    for (Hyp& h : qb.beams) {
-      h.route.reserve(route_cap);
-      h.visited.resize(nseg, 0);
-    }
-    for (Hyp& h : qb.pool) {
-      h.route.reserve(route_cap);
-      h.visited.resize(nseg, 0);
-    }
+    for (Hyp& h : qb.beams) h.route.reserve(route_cap);
+    for (Hyp& h : qb.pool) h.route.reserve(route_cap);
   }
 }
 
@@ -760,8 +743,6 @@ void InferenceSession::PredictRoutesBeamMulti(
     Hyp& root = qb.beams[0];
     root.route.clear();
     root.route.push_back(origin);
-    std::fill(root.visited.begin(), root.visited.end(), 0);
-    root.visited[static_cast<size_t>(origin)] = 1;
     root.log_prob = 0.0;
     root.done = false;
     root.src_row = -1;
@@ -882,10 +863,7 @@ void InferenceSession::PredictRoutesBeamMulti(
         const int deg = static_cast<int>(outs.size());
         ranked_.clear();
         for (int s = 0; s < deg; ++s) {
-          if (beam.visited[static_cast<size_t>(
-                  outs[static_cast<size_t>(s)])]) {
-            continue;
-          }
+          if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
           ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
         }
         if (ranked_.empty()) {
@@ -910,7 +888,6 @@ void InferenceSession::PredictRoutesBeamMulti(
           const SegmentId seg = outs[static_cast<size_t>(
               ranked_[static_cast<size_t>(e)].second)];
           nxt.route.push_back(seg);
-          nxt.visited[static_cast<size_t>(seg)] = 1;
           nxt.done = ShouldStop(net_, item.ctx->destination, seg, config_,
                                 /*rng=*/nullptr);
         }

@@ -121,10 +121,11 @@ class InferenceSession {
   // Number of scratch-storage growths so far; constant across calls once
   // the session is warm (the zero-allocation steady state).
   int64_t arena_grow_count() const { return arena_.grow_count(); }
-  // Growths of the non-arena step scratch (gathered embeddings and the
-  // per-layer double state mirrors). Reserved once per call at the max
-  // batch (ResetState / beam setup), so like arena_grow_count this is
-  // constant once the session is warm — StepBatch itself never resizes.
+  // Growths of the non-arena step scratch (gathered embeddings, the
+  // per-layer double state mirrors and the multi-query hypothesis pools).
+  // Reserved once per call at the max batch (ResetState / beam setup), so
+  // like arena_grow_count this is constant once the session is warm —
+  // StepBatch itself never resizes.
   int64_t scratch_grow_count() const { return scratch_grow_count_; }
 
  private:
@@ -176,8 +177,7 @@ class InferenceSession {
 
   // One beam-search hypothesis; fixed-capacity, reused across calls.
   struct Hyp {
-    traj::Route route;
-    std::vector<uint8_t> visited;  // by SegmentId
+    traj::Route route;  // also the loop-guard set (no segment repeats)
     double log_prob = 0.0;
     bool done = false;
     int src_row = -1;  // row in the stepped batch this hyp's state lives in
@@ -272,7 +272,6 @@ class InferenceSession {
   std::vector<int> tokens_;
   std::vector<int> active_row_;            // beam index -> batch row or -1
   std::vector<double> weights_;            // sampled-prediction scratch
-  std::vector<uint8_t> visited_;           // greedy-path loop guard
   std::vector<const traj::Route*> rows_;   // batched-scoring row set
   std::vector<int> row_index_;             // batch row -> caller index
   std::vector<double> batch_out_;
