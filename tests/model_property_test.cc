@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
 #include <set>
 
 #include "core/deepst_model.h"
@@ -39,6 +43,28 @@ struct ModelCase {
   bool length_scaled;
   int beam;
 };
+
+// ctest names each case after the printed parameter. gtest's default printer
+// dumps the raw object bytes, including the padding byte between
+// `length_scaled` and `beam`, which is uninitialised -- so case names changed
+// from build to build. Print the same byte dump with the padding zeroed.
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(ModelCase)];
+  std::memcpy(bytes, &c, sizeof(bytes));
+  const std::size_t pad_begin =
+      offsetof(ModelCase, length_scaled) + sizeof(c.length_scaled);
+  std::memset(bytes + pad_begin, 0, offsetof(ModelCase, beam) - pad_begin);
+  std::memset(bytes + offsetof(ModelCase, beam) + sizeof(c.beam), 0,
+              sizeof(bytes) - offsetof(ModelCase, beam) - sizeof(c.beam));
+  *os << sizeof(bytes) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class ModelConfigSweep : public testing::TestWithParam<ModelCase> {};
 
