@@ -80,14 +80,10 @@ struct DeepSTConfig {
   // Use posterior means / modes for latents at prediction (deterministic);
   // when false, sample as in Algorithm 2.
   bool map_prediction = true;
-  // Route generation / scoring through the autodiff graph instead of the
-  // graph-free fast path (src/core/infer). The graph path is the reference
-  // implementation; the fast path matches it within 1e-5 (docs/inference.md).
-  bool graph_inference = false;
   // Packed weight precision of the fast path's GEMV kernels (CLI
   // --precision double|bf16|int8). double is bitwise the PR 3 baseline;
   // bf16/int8 trade exactness for bandwidth and are accuracy-parity-gated
-  // (docs/inference.md). Ignored by the graph path.
+  // (docs/inference.md). Ignored by the *Reference methods.
   nn::infer::Precision infer_precision = nn::infer::Precision::kDouble;
   // Build K-major panel sidecars into the shared packed weights so batched
   // (beam / multi-query) GEMVs run through the register-blocked GEMM

@@ -154,10 +154,10 @@ class DeepSTModel : public nn::Module {
 
   // -- Prediction (Algorithm 2) -------------------------------------------------
   // Generation and scoring run on the graph-free inference engine
-  // (core/infer) unless config.graph_inference selects the autodiff
-  // reference path; the two agree within 1e-5 (docs/inference.md). All
-  // prediction/scoring entry points are safe to call concurrently: each call
-  // leases a scratch session from a mutex-guarded pool.
+  // (core/infer); it agrees with the *Reference methods below within 1e-5
+  // (docs/inference.md). All prediction/scoring entry points are safe to
+  // call concurrently: each call leases a scratch session from a
+  // mutex-guarded pool.
   PredictionContext MakeContext(const RouteQuery& query, util::Rng* rng);
   // Degraded-context variant: substitutes priors for the inputs flagged in
   // `options` (see ContextOptions) and computes the rest normally.
@@ -206,10 +206,10 @@ class DeepSTModel : public nn::Module {
 
   // -- Cross-query batched entry points (serve scheduler) ------------------------
   // Run every item through ONE leased session as one padded batch when the
-  // config permits lock-step batching (graph-free engine + deterministic MAP
-  // beam for prediction); fall back to per-item single-query calls
-  // otherwise. Either way each item's result is bitwise identical to the
-  // corresponding single-query call. `rng` is only consulted on the
+  // config permits lock-step batching (the deterministic MAP beam for
+  // prediction); fall back to per-item single-query calls otherwise. Either
+  // way each item's result is bitwise identical to the corresponding
+  // single-query call. `rng` is only consulted on the
   // fallback path (sampled-stop configs); the batched path draws nothing.
   void PredictRoutesBeamMulti(std::vector<PredictItem>* items,
                               util::Rng* rng = nullptr);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -16,6 +17,8 @@ using roadnet::SegmentId;
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+// Row map of a one-row single-context step: the row reads query 0's biases.
+constexpr int kQuery0 = 0;
 
 // Loop guard: a hypothesis never revisits a segment on its own route. The
 // route is the visited set exactly and holds at most max_route_steps + 2
@@ -83,14 +86,6 @@ InferenceSession::InferenceSession(const DeepSTModel* model)
   state_ptrs_.resize(static_cast<size_t>(gru_.num_layers()), nullptr);
   dstate_.resize(static_cast<size_t>(gru_.num_layers()));
   dgather_.resize(static_cast<size_t>(gru_.num_layers()));
-  // Fixed-capacity hypothesis pools: one beam step produces at most
-  // width carried-over hypotheses plus width expansions per active beam.
-  const int width = std::max(config_.beam_width, 1);
-  const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
-  beams_.resize(static_cast<size_t>(width));
-  pool_.resize(static_cast<size_t>(width) * static_cast<size_t>(width + 1));
-  for (Hyp& h : beams_) h.route.reserve(route_cap);
-  for (Hyp& h : pool_) h.route.reserve(route_cap);
 }
 
 nn::infer::MemoKey InferenceSession::ContextKey(
@@ -137,70 +132,25 @@ float* const* InferenceSession::BatchStatePtrs(int64_t row) {
   return state_ptrs_.data();
 }
 
-void InferenceSession::PrepareContext(const PredictionContext& ctx) {
-  const int64_t dest_dim = ctx.has_dest ? ctx.dest_repr.dim(1) : 0;
-  const int64_t traffic_dim = ctx.has_traffic ? ctx.traffic_repr.dim(1) : 0;
-  const int64_t ctx_dim = dest_dim + traffic_dim;
-  const nn::infer::GruCellView& cell0 = gru_.cells[0];
-  DEEPST_CHECK_EQ(emb_dim_ + ctx_dim, cell0.input_dim);
-  ctxd_.resize(static_cast<size_t>(ctx_dim));
-  if (dest_dim > 0) {
-    nn::infer::ToDouble(ctx.dest_repr.data(), ctxd_.data(), dest_dim);
-  }
-  if (traffic_dim > 0) {
-    nn::infer::ToDouble(ctx.traffic_repr.data(), ctxd_.data() + dest_dim,
-                        traffic_dim);
-  }
-  // Layer-0 split input: fold the context's input-to-hidden product and
-  // b_ih into one per-query bias; steps then only multiply the embedding
-  // columns of w_ih. The context columns are exact doubles in every
-  // precision mode (w_ih_ctx), so this fold never carries quantization
-  // error into all downstream steps.
-  const int64_t h3 = 3 * cell0.hidden_dim;
-  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {1, h3});
-  nn::infer::LinearForward(ctxd_.data(), ctx_dim, cell0.w_ih_ctx.data(),
-                           ctx_dim, cell0.b_ih->data(), nullptr,
-                           ctx_ih->data(), 1, ctx_dim, h3);
-  // Queries pin the memo epoch they start with (see TransitionMemoCache).
-  if (memo_ != nullptr) {
-    memo_epoch_ = memo_->current_epoch();
-    ctx_key_ = ContextKey(ctx);
-  }
-  // alpha bias + additive context logit terms, one row.
-  nn::Tensor* lb = arena_.Acquire(kLogitBias, {1, nmax_});
-  const float* ab = alpha_b_ != nullptr ? alpha_b_->data() : nullptr;
-  const float* dt = ctx.has_dest ? ctx.dest_term.data() : nullptr;
-  const float* tt = ctx.has_traffic ? ctx.traffic_term.data() : nullptr;
-  float* lbp = lb->data();
-  for (int64_t j = 0; j < nmax_; ++j) {
-    float v = ab != nullptr ? ab[j] : 0.0f;
-    if (dt != nullptr) v += dt[j];
-    if (tt != nullptr) v += tt[j];
-    lbp[j] = v;
-  }
-}
-
-void InferenceSession::PrepareContexts(
-    const std::vector<const PredictionContext*>& ctxs) {
-  const int64_t q_count = static_cast<int64_t>(ctxs.size());
+void InferenceSession::PrepareContexts(const PredictionContext* const* ctxs,
+                                       int64_t count) {
   const nn::infer::GruCellView& cell0 = gru_.cells[0];
   const int64_t h3 = 3 * cell0.hidden_dim;
-  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {q_count, h3});
-  nn::Tensor* lb = arena_.Acquire(kLogitBias, {q_count, nmax_});
+  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {count, h3});
+  nn::Tensor* lb = arena_.Acquire(kLogitBias, {count, nmax_});
   const float* ab = alpha_b_ != nullptr ? alpha_b_->data() : nullptr;
   if (memo_ != nullptr) {
-    // One pinned epoch for the whole coalesced batch; per-query context
-    // signatures (a query's keys must match its single-query counterpart's
-    // exactly — bitwise-parity across batch compositions includes the memo).
+    // Queries pin the memo epoch they start with (see TransitionMemoCache);
+    // one epoch covers a whole coalesced batch, and each query's signature
+    // is exactly what it would be alone.
     memo_epoch_ = memo_->current_epoch();
-    ctx_keys_.resize(static_cast<size_t>(q_count));
-    for (int64_t q = 0; q < q_count; ++q) {
-      ctx_keys_[static_cast<size_t>(q)] =
-          ContextKey(*ctxs[static_cast<size_t>(q)]);
+    ctx_keys_.resize(static_cast<size_t>(count));
+    for (int64_t q = 0; q < count; ++q) {
+      ctx_keys_[static_cast<size_t>(q)] = ContextKey(*ctxs[q]);
     }
   }
-  for (int64_t q = 0; q < q_count; ++q) {
-    const PredictionContext& ctx = *ctxs[static_cast<size_t>(q)];
+  for (int64_t q = 0; q < count; ++q) {
+    const PredictionContext& ctx = *ctxs[q];
     const int64_t dest_dim = ctx.has_dest ? ctx.dest_repr.dim(1) : 0;
     const int64_t traffic_dim = ctx.has_traffic ? ctx.traffic_repr.dim(1) : 0;
     const int64_t ctx_dim = dest_dim + traffic_dim;
@@ -213,12 +163,16 @@ void InferenceSession::PrepareContexts(
       nn::infer::ToDouble(ctx.traffic_repr.data(), ctxd_.data() + dest_dim,
                           traffic_dim);
     }
-    // One LinearForward call per row, same operands as PrepareContext, so
-    // each row of the [Q, 3H] block is bitwise identical to preparing that
-    // context alone.
+    // Layer-0 split input: fold the context's input-to-hidden product and
+    // b_ih into one per-query bias row; steps then only multiply the
+    // embedding columns of w_ih. The context columns are exact doubles in
+    // every precision mode (w_ih_ctx), so this fold never carries
+    // quantization error into all downstream steps. One call per row, so
+    // row q is bitwise independent of the other queries in the block.
     nn::infer::LinearForward(ctxd_.data(), ctx_dim, cell0.w_ih_ctx.data(),
                              ctx_dim, cell0.b_ih->data(), nullptr,
                              ctx_ih->data() + q * h3, 1, ctx_dim, h3);
+    // alpha bias + additive context logit terms, one row per query.
     const float* dt = ctx.has_dest ? ctx.dest_term.data() : nullptr;
     const float* tt = ctx.has_traffic ? ctx.traffic_term.data() : nullptr;
     float* lbp = lb->data() + q * nmax_;
@@ -265,13 +219,15 @@ void InferenceSession::ResetState(int64_t batch) {
   }
 }
 
-void InferenceSession::StepBatch(const int* tokens, int64_t batch,
-                                 bool want_logits) {
+void InferenceSession::StepBatch(const int* tokens, const int* row_ctx,
+                                 int64_t batch, bool want_logits) {
   // Invariant: on entry dstate_[l] holds the double image of StateSlot(l)
   // for every active row (ResetState zeroes both; the beam gather and memo
   // paths refresh it). Each layer's GEMVs then read the mirror directly and
   // the mirror is re-converted once after GruGates — one ToDouble per layer
-  // per step instead of one per GEMV operand.
+  // per step instead of one per GEMV operand. Only the layer-0 input bias
+  // and the logit bias are row-mapped into the [Q, .] blocks that
+  // PrepareContexts filled; every other operand is query-independent.
   const nn::infer::GruCellView& cell0 = gru_.cells[0];
   const int64_t hd = gru_.hidden_dim;
   const int64_t h3 = 3 * hd;
@@ -286,7 +242,7 @@ void InferenceSession::StepBatch(const int* tokens, int64_t batch,
   nn::Tensor* h0 = StateSlot(0);
   nn::infer::GemvForward(embd_.data(), emb_dim_, cell0.w_ih,
                          arena_.Get(kCtxIh)->data(), nullptr, gi->data(),
-                         batch, h3);
+                         batch, h3, row_ctx);
   nn::infer::GemvForward(dstate_[0].data(), hd, cell0.w_hh,
                          cell0.b_hh->data(), nullptr, gh->data(), batch, h3);
   nn::infer::GruGates(*gi, *gh, *h0, h0);
@@ -309,54 +265,7 @@ void InferenceSession::StepBatch(const int* tokens, int64_t batch,
     nn::infer::GemvForward(
         dstate_[static_cast<size_t>(gru_.num_layers() - 1)].data(), hd,
         alpha_w_, arena_.Get(kLogitBias)->data(), nullptr, logits->data(),
-        batch, nmax_);
-  }
-}
-
-void InferenceSession::StepBatchMulti(const int* tokens, const int* row_ctx,
-                                      int64_t batch, bool want_logits) {
-  // Mirrors StepBatch; only the layer-0 input bias and the logit bias are
-  // row-mapped into the [Q, .] blocks PrepareContexts filled. Every other
-  // operand is query-independent, so each row's arithmetic is exactly the
-  // single-context step's.
-  const nn::infer::GruCellView& cell0 = gru_.cells[0];
-  const int64_t hd = gru_.hidden_dim;
-  const int64_t h3 = 3 * hd;
-  DEEPST_DCHECK(embd_.size() >= static_cast<size_t>(batch * emb_dim_));
-  for (int64_t b = 0; b < batch; ++b) {
-    std::copy_n(
-        emb_table_d_.data() + static_cast<int64_t>(tokens[b]) * emb_dim_,
-        emb_dim_, embd_.data() + b * emb_dim_);
-  }
-  nn::Tensor* gi = arena_.Acquire(kGi, {batch, h3});
-  nn::Tensor* gh = arena_.Acquire(kGh, {batch, h3});
-  nn::Tensor* h0 = StateSlot(0);
-  nn::infer::GemvForwardRowBias(embd_.data(), emb_dim_, cell0.w_ih,
-                                arena_.Get(kCtxIh)->data(), nullptr, row_ctx,
-                                gi->data(), batch, h3);
-  nn::infer::GemvForward(dstate_[0].data(), hd, cell0.w_hh,
-                         cell0.b_hh->data(), nullptr, gh->data(), batch, h3);
-  nn::infer::GruGates(*gi, *gh, *h0, h0);
-  nn::infer::ToDouble(h0->data(), dstate_[0].data(), batch * hd);
-  for (int l = 1; l < gru_.num_layers(); ++l) {
-    const nn::infer::GruCellView& cell = gru_.cells[static_cast<size_t>(l)];
-    nn::Tensor* h = StateSlot(l);
-    nn::infer::GemvForward(dstate_[static_cast<size_t>(l - 1)].data(), hd,
-                           cell.w_ih, cell.b_ih->data(), nullptr, gi->data(),
-                           batch, h3);
-    nn::infer::GemvForward(dstate_[static_cast<size_t>(l)].data(), hd,
-                           cell.w_hh, cell.b_hh->data(), nullptr, gh->data(),
-                           batch, h3);
-    nn::infer::GruGates(*gi, *gh, *h, h);
-    nn::infer::ToDouble(h->data(), dstate_[static_cast<size_t>(l)].data(),
-                        batch * hd);
-  }
-  if (want_logits) {
-    nn::Tensor* logits = arena_.Acquire(kLogits, {batch, nmax_});
-    nn::infer::GemvForwardRowBias(
-        dstate_[static_cast<size_t>(gru_.num_layers() - 1)].data(), hd,
-        alpha_w_, arena_.Get(kLogitBias)->data(), nullptr, row_ctx,
-        logits->data(), batch, nmax_);
+        batch, nmax_, row_ctx);
   }
 }
 
@@ -366,7 +275,8 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
   if (config_.map_prediction && config_.beam_width > 1) {
     return PredictRouteBeam(ctx, origin, rng);
   }
-  PrepareContext(ctx);
+  const PredictionContext* one = &ctx;
+  PrepareContexts(&one, 1);
   ResetState(1);
   traj::Route route;
   route.reserve(static_cast<size_t>(config_.max_route_steps) + 2);
@@ -375,7 +285,8 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
   // Memo key chain: ctx signature mixed with every token fed so far. A hit
   // replays the cached logits and post-step state bitwise, so the rest of
   // the loop (and the rng stream in sampling mode) is oblivious to it.
-  nn::infer::MemoKey key = ctx_key_;
+  nn::infer::MemoKey key =
+      memo_ != nullptr ? ctx_keys_[0] : nn::infer::MemoKey();
   for (int step = 0; step < config_.max_route_steps; ++step) {
     const auto& outs = net_.OutSegments(cur);
     if (outs.empty()) break;
@@ -384,7 +295,7 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
       key = nn::infer::MixKey(key, static_cast<uint64_t>(token));
       nn::Tensor* lt = arena_.Acquire(kLogits, {1, nmax_});
       if (!memo_->Lookup(key, memo_epoch_, lt->data(), BatchStatePtrs(0))) {
-        StepBatch(&token, 1, /*want_logits=*/true);
+        StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
         memo_->Insert(key, memo_epoch_, arena_.Get(kLogits)->data(),
                       BatchStatePtrs(0));
       } else {
@@ -397,7 +308,7 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
         }
       }
     } else {
-      StepBatch(&token, 1, /*want_logits=*/true);
+      StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
     }
     const float* lv = arena_.Get(kLogits)->data();
     int best = -1;
@@ -446,235 +357,25 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
                                                util::Rng* rng,
                                                double deadline_ms,
                                                bool* budget_hit) {
-  if (budget_hit != nullptr) *budget_hit = false;
-  util::Stopwatch deadline_sw;
-  const int width = std::max(config_.beam_width, 1);
-  const int64_t hd = gru_.hidden_dim;
-  PrepareContext(ctx);
-  Hyp& root = beams_[0];
-  root.route.clear();
-  root.route.push_back(origin);
-  root.log_prob = 0.0;
-  root.done = false;
-  root.src_row = -1;
-  root.hit_src = -1;
-  root.key = ctx_key_;
-  EnsureStepScratch(width);
-  EnsureGatherScratch(width);
-  for (int l = 0; l < gru_.num_layers(); ++l) {
-    arena_.Acquire(GatherSlotIndex(l), {1, hd})->Fill(0.0f);
-    std::fill_n(dgather_[static_cast<size_t>(l)].data(),
-                static_cast<size_t>(hd), 0.0);
-  }
-  if (memo_ != nullptr) {
-    // Hit staging at full width, once per call: a probe that hits writes the
-    // cached logits/state into row i (its beam index) and skips the step.
-    arena_.Acquire(kHitLogits, {width, nmax_});
-    for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(HitSlotIndex(l), {width, hd});
-    }
-  }
-  int num_beams = 1;
+  PredictItem item;
+  item.ctx = &ctx;
+  item.origin = origin;
+  item.deadline_ms = deadline_ms;
+  BeamSearch(&item, 1, rng);
+  if (budget_hit != nullptr) *budget_hit = item.budget_hit;
+  return std::move(item.route);
+}
 
-  for (int step = 0; step < config_.max_route_steps; ++step) {
-    // Pass 1: probe the memo per expandable hypothesis, then one batched GRU
-    // step over the misses (row-local kernels make this bitwise identical to
-    // stepping each hypothesis alone).
-    tokens_.clear();
-    active_row_.assign(static_cast<size_t>(num_beams), -1);
-    hit_row_.assign(static_cast<size_t>(num_beams), -1);
-    bool any_hit = false;
-    for (int i = 0; i < num_beams; ++i) {
-      const Hyp& b = beams_[static_cast<size_t>(i)];
-      if (b.done) continue;
-      if (net_.OutSegments(b.route.back()).empty()) continue;
-      if (memo_ != nullptr) {
-        const nn::infer::MemoKey sk = nn::infer::MixKey(
-            b.key, static_cast<uint64_t>(b.route.back()));
-        if (memo_->Lookup(sk, memo_epoch_,
-                          arena_.Get(kHitLogits)->data() +
-                              static_cast<int64_t>(i) * nmax_,
-                          HitStatePtrs(i))) {
-          hit_row_[static_cast<size_t>(i)] = i;
-          any_hit = true;
-          continue;
-        }
-      }
-      active_row_[static_cast<size_t>(i)] = static_cast<int>(tokens_.size());
-      tokens_.push_back(static_cast<int>(b.route.back()));
-    }
-    const int64_t active = static_cast<int64_t>(tokens_.size());
-    const bool any_expand = active > 0 || any_hit;
-    if (active > 0) {
-      for (int l = 0; l < gru_.num_layers(); ++l) {
-        nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), {active, hd});
-        const nn::Tensor* bs = GatherSlot(l);
-        const double* bd = dgather_[static_cast<size_t>(l)].data();
-        double* sd = dstate_[static_cast<size_t>(l)].data();
-        for (int i = 0; i < num_beams; ++i) {
-          const int a = active_row_[static_cast<size_t>(i)];
-          if (a < 0) continue;
-          std::copy_n(bs->data() + static_cast<int64_t>(i) * hd, hd,
-                      st->data() + static_cast<int64_t>(a) * hd);
-          std::copy_n(bd + static_cast<int64_t>(i) * hd, hd,
-                      sd + static_cast<int64_t>(a) * hd);
-        }
-      }
-      StepBatch(tokens_.data(), active, /*want_logits=*/true);
-      if (memo_ != nullptr) {
-        for (int i = 0; i < num_beams; ++i) {
-          const int a = active_row_[static_cast<size_t>(i)];
-          if (a < 0) continue;
-          const Hyp& b = beams_[static_cast<size_t>(i)];
-          memo_->Insert(
-              nn::infer::MixKey(b.key,
-                                static_cast<uint64_t>(b.route.back())),
-              memo_epoch_,
-              arena_.Get(kLogits)->data() + static_cast<int64_t>(a) * nmax_,
-              BatchStatePtrs(a));
-        }
-      }
-    }
-    const float* logits = active > 0 ? arena_.Get(kLogits)->data() : nullptr;
-    const float* hit_logits =
-        memo_ != nullptr ? arena_.Get(kHitLogits)->data() : nullptr;
-
-    // Pass 2: expand in beam order (so the ShouldStop rng call order matches
-    // the reference exactly).
-    pool_size_ = 0;
-    for (int i = 0; i < num_beams; ++i) {
-      Hyp& beam = beams_[static_cast<size_t>(i)];
-      if (beam.done) {
-        beam.src_row = -1;
-        beam.hit_src = -1;
-        CopyHyp(beam, &pool_[pool_size_++]);
-        continue;
-      }
-      const SegmentId cur = beam.route.back();
-      const auto& outs = net_.OutSegments(cur);
-      if (outs.empty()) {
-        beam.done = true;
-        beam.src_row = -1;
-        beam.hit_src = -1;
-        CopyHyp(beam, &pool_[pool_size_++]);
-        continue;
-      }
-      const int a = active_row_[static_cast<size_t>(i)];
-      const int hr = hit_row_[static_cast<size_t>(i)];
-      const float* lrow = hr >= 0
-                              ? hit_logits + static_cast<int64_t>(hr) * nmax_
-                              : logits + static_cast<int64_t>(a) * nmax_;
-      const int deg = static_cast<int>(outs.size());
-      ranked_.clear();
-      for (int s = 0; s < deg; ++s) {
-        if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
-        ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
-      }
-      if (ranked_.empty()) {  // boxed in: terminate this hypothesis
-        beam.done = true;
-        beam.src_row = -1;
-        beam.hit_src = -1;
-        CopyHyp(beam, &pool_[pool_size_++]);
-        continue;
-      }
-      std::sort(ranked_.rbegin(), ranked_.rend());
-      const int expand =
-          std::min<int>(width, static_cast<int>(ranked_.size()));
-      for (int e = 0; e < expand; ++e) {
-        Hyp& nxt = pool_[pool_size_++];
-        CopyHyp(beam, &nxt);
-        nxt.src_row = a;
-        nxt.hit_src = hr;
-        if (memo_ != nullptr) {
-          nxt.key = nn::infer::MixKey(beam.key, static_cast<uint64_t>(cur));
-        }
-        nxt.log_prob += ranked_[static_cast<size_t>(e)].first;
-        const SegmentId seg =
-            outs[static_cast<size_t>(ranked_[static_cast<size_t>(e)].second)];
-        nxt.route.push_back(seg);
-        nxt.done = ShouldStop(net_, ctx.destination, seg, config_, rng);
-      }
-    }
-
-    // Keep the best `width` hypotheses by normalized score; gather the
-    // survivors' stepped states back into the per-beam state rows.
-    pool_order_.resize(pool_size_);
-    std::iota(pool_order_.begin(), pool_order_.end(), 0);
-    std::sort(pool_order_.begin(), pool_order_.end(), [this](int x, int y) {
-      return pool_[static_cast<size_t>(x)].Score() >
-             pool_[static_cast<size_t>(y)].Score();
-    });
-    const int keep = std::min<int>(width, static_cast<int>(pool_size_));
-    for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(GatherSlotIndex(l), {keep, hd});
-    }
-    for (int w = 0; w < keep; ++w) {
-      const Hyp& src = pool_[static_cast<size_t>(pool_order_[w])];
-      CopyHyp(src, &beams_[static_cast<size_t>(w)]);
-      if (src.src_row >= 0) {
-        // Stepped row: the double mirror already holds its exact image, so
-        // a double->double copy carries the same values ToDouble would.
-        for (int l = 0; l < gru_.num_layers(); ++l) {
-          std::copy_n(StateSlot(l)->data() +
-                          static_cast<int64_t>(src.src_row) * hd,
-                      hd,
-                      GatherSlot(l)->data() + static_cast<int64_t>(w) * hd);
-          std::copy_n(dstate_[static_cast<size_t>(l)].data() +
-                          static_cast<int64_t>(src.src_row) * hd,
-                      hd,
-                      dgather_[static_cast<size_t>(l)].data() +
-                          static_cast<int64_t>(w) * hd);
-        }
-      } else if (src.hit_src >= 0) {
-        // Memo-hit row: only float state exists; convert it for the mirror.
-        for (int l = 0; l < gru_.num_layers(); ++l) {
-          const float* hs = HitSlot(l)->data() +
-                            static_cast<int64_t>(src.hit_src) * hd;
-          std::copy_n(hs, hd,
-                      GatherSlot(l)->data() + static_cast<int64_t>(w) * hd);
-          nn::infer::ToDouble(hs,
-                              dgather_[static_cast<size_t>(l)].data() +
-                                  static_cast<int64_t>(w) * hd,
-                              hd);
-        }
-      }
-    }
-    num_beams = keep;
-    if (!any_expand) break;
-    bool all_done = true;
-    for (int i = 0; i < num_beams; ++i) {
-      if (!beams_[static_cast<size_t>(i)].done) all_done = false;
-    }
-    if (all_done) break;
-    // Deadline budget: checked only between completed expansion steps (same
-    // rule as the reference path), so at least one step always runs and the
-    // result is the best full hypothesis so far.
-    if (deadline_ms > 0.0 && deadline_sw.ElapsedMillis() >= deadline_ms) {
-      if (budget_hit != nullptr) *budget_hit = true;
-      break;
-    }
-  }
-
-  // Prefer completed hypotheses.
-  const Hyp* best = nullptr;
-  for (int i = 0; i < num_beams; ++i) {
-    const Hyp& b = beams_[static_cast<size_t>(i)];
-    if (!b.done) continue;
-    if (best == nullptr || b.Score() > best->Score()) best = &b;
-  }
-  if (best == nullptr) {
-    for (int i = 0; i < num_beams; ++i) {
-      const Hyp& b = beams_[static_cast<size_t>(i)];
-      if (best == nullptr || b.Score() > best->Score()) best = &b;
-    }
-  }
-  DEEPST_CHECK(best != nullptr);
-  return best->route;
+void InferenceSession::PredictRoutesBeamMulti(std::vector<PredictItem>* items,
+                                              util::Rng* rng) {
+  BeamSearch(items->data(), items->size(), rng);
 }
 
 void InferenceSession::EnsureQueryBeams(size_t count) {
   if (query_beams_.size() >= count) return;
   ++scratch_grow_count_;
+  // Fixed-capacity hypothesis pools: one beam step produces at most width
+  // carried-over hypotheses plus width expansions per active beam.
   const int width = std::max(config_.beam_width, 1);
   const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
   const size_t old = query_beams_.size();
@@ -705,33 +406,37 @@ void InferenceSession::FinalizeQuery(const QueryBeam& qb, PredictItem* item) {
   item->route = best->route;
 }
 
-void InferenceSession::PredictRoutesBeamMulti(
-    std::vector<PredictItem>* items) {
-  // Lock-step beam search needs the deterministic MAP config: ShouldStop
-  // then draws nothing, so interleaving queries cannot shift any rng stream.
-  DEEPST_CHECK(config_.map_prediction && !config_.sample_stop);
-  const int64_t q_count = static_cast<int64_t>(items->size());
-  if (q_count == 0) return;
+void InferenceSession::BeamSearch(PredictItem* items, size_t count,
+                                  util::Rng* rng) {
+  // Sampled stops draw from `rng` in beam order; interleaving several
+  // queries would interleave their draws, so such a batch holds one query.
+  // Without sample_stop ShouldStop draws nothing and batch composition
+  // cannot perturb any result.
+  if (count == 0) return;
+  DEEPST_CHECK(!config_.sample_stop || count == 1);
+  const int64_t q_count = static_cast<int64_t>(count);
   const int width = std::max(config_.beam_width, 1);
   const int64_t hd = gru_.hidden_dim;
 
   ctx_ptrs_.clear();
-  for (PredictItem& item : *items) {
+  for (size_t q = 0; q < count; ++q) {
+    PredictItem& item = items[q];
     DEEPST_CHECK(item.origin >= 0 && item.origin < net_.num_segments());
     item.budget_hit = false;
     ctx_ptrs_.push_back(item.ctx);
   }
-  PrepareContexts(ctx_ptrs_);
-  EnsureQueryBeams(static_cast<size_t>(q_count));
+  PrepareContexts(ctx_ptrs_.data(), q_count);
+  EnsureQueryBeams(count);
   EnsureStepScratch(q_count * width);
   EnsureGatherScratch(q_count * width);
+  // Beam state row for (query q, beam i) is q*width + i, in the gather
+  // slots and (when memoizing) in the hit staging slots alike.
   for (int l = 0; l < gru_.num_layers(); ++l) {
     arena_.Acquire(GatherSlotIndex(l), {q_count * width, hd})->Fill(0.0f);
     std::fill_n(dgather_[static_cast<size_t>(l)].data(),
                 static_cast<size_t>(q_count * width * hd), 0.0);
   }
   if (memo_ != nullptr) {
-    // Hit staging row for (query q, beam i) is q*width + i.
     arena_.Acquire(kHitLogits, {q_count * width, nmax_});
     for (int l = 0; l < gru_.num_layers(); ++l) {
       arena_.Acquire(HitSlotIndex(l), {q_count * width, hd});
@@ -739,10 +444,9 @@ void InferenceSession::PredictRoutesBeamMulti(
   }
   for (int64_t q = 0; q < q_count; ++q) {
     QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
-    const SegmentId origin = (*items)[static_cast<size_t>(q)].origin;
     Hyp& root = qb.beams[0];
     root.route.clear();
-    root.route.push_back(origin);
+    root.route.push_back(items[q].origin);
     root.log_prob = 0.0;
     root.done = false;
     root.src_row = -1;
@@ -755,8 +459,10 @@ void InferenceSession::PredictRoutesBeamMulti(
 
   int64_t live = q_count;
   for (int step = 0; step < config_.max_route_steps && live > 0; ++step) {
-    // Pass 1: one padded GRU step over every expandable hypothesis of every
-    // live query; row_ctx_ routes each row to its query's context biases.
+    // Pass 1: probe the memo per expandable hypothesis, then one padded GRU
+    // step over the misses of every live query; row_ctx_ routes each row to
+    // its query's context biases (row-local kernels make this bitwise
+    // identical to stepping each hypothesis alone).
     tokens_.clear();
     row_ctx_.clear();
     for (int64_t q = 0; q < q_count; ++q) {
@@ -805,8 +511,8 @@ void InferenceSession::PredictRoutesBeamMulti(
           }
         }
       }
-      StepBatchMulti(tokens_.data(), row_ctx_.data(), active,
-                     /*want_logits=*/true);
+      StepBatch(tokens_.data(), row_ctx_.data(), active,
+                /*want_logits=*/true);
       if (memo_ != nullptr) {
         for (int64_t q = 0; q < q_count; ++q) {
           const QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
@@ -829,12 +535,13 @@ void InferenceSession::PredictRoutesBeamMulti(
     const float* hit_logits =
         memo_ != nullptr ? arena_.Get(kHitLogits)->data() : nullptr;
 
-    // Pass 2: per-query expansion, keep, and termination — the single-query
-    // PredictRouteBeam body verbatim, indexed into the shared batch.
+    // Pass 2: per-query expansion, keep, and termination. Expansion runs in
+    // beam order, so the ShouldStop rng call order matches the reference
+    // exactly.
     for (int64_t q = 0; q < q_count; ++q) {
       QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
       if (qb.finished) continue;
-      PredictItem& item = (*items)[static_cast<size_t>(q)];
+      PredictItem& item = items[q];
       bool q_any_active = false;
       qb.pool_size = 0;
       for (int i = 0; i < qb.num_beams; ++i) {
@@ -866,7 +573,7 @@ void InferenceSession::PredictRoutesBeamMulti(
           if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
           ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
         }
-        if (ranked_.empty()) {
+        if (ranked_.empty()) {  // boxed in: terminate this hypothesis
           beam.done = true;
           beam.src_row = -1;
           beam.hit_src = -1;
@@ -888,11 +595,12 @@ void InferenceSession::PredictRoutesBeamMulti(
           const SegmentId seg = outs[static_cast<size_t>(
               ranked_[static_cast<size_t>(e)].second)];
           nxt.route.push_back(seg);
-          nxt.done = ShouldStop(net_, item.ctx->destination, seg, config_,
-                                /*rng=*/nullptr);
+          nxt.done = ShouldStop(net_, item.ctx->destination, seg, config_, rng);
         }
       }
 
+      // Keep the best `width` hypotheses by normalized score; gather the
+      // survivors' stepped states back into the query's beam state rows.
       qb.pool_order.resize(qb.pool_size);
       std::iota(qb.pool_order.begin(), qb.pool_order.end(), 0);
       std::sort(qb.pool_order.begin(), qb.pool_order.end(),
@@ -905,6 +613,8 @@ void InferenceSession::PredictRoutesBeamMulti(
         const Hyp& src = qb.pool[static_cast<size_t>(qb.pool_order[w])];
         CopyHyp(src, &qb.beams[static_cast<size_t>(w)]);
         if (src.src_row >= 0) {
+          // Stepped row: the double mirror already holds its exact image,
+          // so a double->double copy carries the same values ToDouble would.
           for (int l = 0; l < gru_.num_layers(); ++l) {
             std::copy_n(StateSlot(l)->data() +
                             static_cast<int64_t>(src.src_row) * hd,
@@ -915,6 +625,7 @@ void InferenceSession::PredictRoutesBeamMulti(
                                 (q * width + w) * hd);
           }
         } else if (src.hit_src >= 0) {
+          // Memo-hit row: only float state exists; convert it for the mirror.
           for (int l = 0; l < gru_.num_layers(); ++l) {
             const float* hs = HitSlot(l)->data() +
                               static_cast<int64_t>(src.hit_src) * hd;
@@ -929,8 +640,10 @@ void InferenceSession::PredictRoutesBeamMulti(
       }
       qb.num_beams = keep;
 
-      // Same termination order as the single-query loop: boxed-in, then
-      // all-done, then the per-item deadline between completed steps.
+      // Termination: boxed in, then all done, then the per-item deadline.
+      // The deadline is checked only between completed expansion steps (the
+      // reference path's rule), so at least one step always runs and the
+      // result is the best full hypothesis so far.
       bool q_done = !q_any_active;
       if (!q_done) {
         bool all_done = true;
@@ -956,81 +669,13 @@ void InferenceSession::PredictRoutesBeamMulti(
     QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
     if (qb.finished) continue;
     qb.finished = true;
-    FinalizeQuery(qb, &(*items)[static_cast<size_t>(q)]);
-  }
-}
-
-void InferenceSession::ScoreRoutesMulti(std::vector<ScoreItem>* items) {
-  ctx_ptrs_.clear();
-  rows_.clear();
-  row_index_.clear();
-  row_ctx_.clear();
-  int flat = 0;
-  for (size_t i = 0; i < items->size(); ++i) {
-    ScoreItem& item = (*items)[i];
-    const std::vector<traj::Route>& routes = *item.routes;
-    item.scores.assign(routes.size(), 0.0);
-    for (size_t j = 0; j < routes.size(); ++j, ++flat) {
-      if (routes[j].size() < 2) continue;  // score 0 by convention
-      if (!net_.ValidateRoute(routes[j]).ok()) {
-        item.scores[j] = kNegInf;
-        continue;
-      }
-      rows_.push_back(&routes[j]);
-      row_index_.push_back(flat);
-      row_ctx_.push_back(static_cast<int>(ctx_ptrs_.size()));
-    }
-    ctx_ptrs_.push_back(item.ctx);
-  }
-  if (rows_.empty()) return;
-  PrepareContexts(ctx_ptrs_);
-  ResetState(static_cast<int64_t>(rows_.size()));
-  batch_out_.assign(rows_.size(), 0.0);
-  ScorePaddedBatchMulti(rows_, row_ctx_, &batch_out_);
-  for (size_t b = 0; b < rows_.size(); ++b) {
-    // Invert the flat index back to (item, route).
-    int remaining = row_index_[b];
-    size_t i = 0;
-    while (remaining >= static_cast<int>((*items)[i].routes->size())) {
-      remaining -= static_cast<int>((*items)[i].routes->size());
-      ++i;
-    }
-    (*items)[i].scores[static_cast<size_t>(remaining)] = batch_out_[b];
-  }
-}
-
-void InferenceSession::ScorePaddedBatchMulti(
-    const std::vector<const traj::Route*>& rows, const std::vector<int>& row_ctx,
-    std::vector<double>* out) {
-  const int64_t batch = static_cast<int64_t>(rows.size());
-  size_t max_len = 0;
-  for (const traj::Route* r : rows) max_len = std::max(max_len, r->size());
-  tokens_.resize(static_cast<size_t>(batch));
-  for (size_t t = 0; t + 1 < max_len; ++t) {
-    for (int64_t b = 0; b < batch; ++b) {
-      const traj::Route& r = *rows[static_cast<size_t>(b)];
-      // Finished rows re-feed their last input token, exactly like
-      // ScorePaddedBatch: row-local kernels keep the padding invisible.
-      const size_t i = std::min(t, r.size() - 2);
-      tokens_[static_cast<size_t>(b)] = static_cast<int>(r[i]);
-    }
-    StepBatchMulti(tokens_.data(), row_ctx.data(), batch,
-                   /*want_logits=*/true);
-    const float* logits = arena_.Get(kLogits)->data();
-    for (int64_t b = 0; b < batch; ++b) {
-      const traj::Route& r = *rows[static_cast<size_t>(b)];
-      if (t + 1 >= r.size()) continue;
-      const int slot = net_.NeighborSlot(r[t], r[t + 1]);
-      DEEPST_DCHECK(slot >= 0);
-      (*out)[static_cast<size_t>(b)] += ValidSlotLogProb(
-          logits + b * nmax_, net_.OutDegree(r[t]), slot);
-    }
+    FinalizeQuery(qb, &items[q]);
   }
 }
 
 void InferenceSession::ScorePaddedBatch(
-    const std::vector<const traj::Route*>& rows, size_t first_scored,
-    std::vector<double>* out) {
+    const std::vector<const traj::Route*>& rows, const std::vector<int>& row_ctx,
+    size_t first_scored, std::vector<double>* out) {
   const int64_t batch = static_cast<int64_t>(rows.size());
   size_t max_len = 0;
   for (const traj::Route* r : rows) max_len = std::max(max_len, r->size());
@@ -1044,7 +689,7 @@ void InferenceSession::ScorePaddedBatch(
       const size_t i = std::min(t, r.size() - 2);
       tokens_[static_cast<size_t>(b)] = static_cast<int>(r[i]);
     }
-    StepBatch(tokens_.data(), batch, /*want_logits=*/true);
+    StepBatch(tokens_.data(), row_ctx.data(), batch, /*want_logits=*/true);
     const float* logits = arena_.Get(kLogits)->data();
     for (int64_t b = 0; b < batch; ++b) {
       const traj::Route& r = *rows[static_cast<size_t>(b)];
@@ -1057,41 +702,62 @@ void InferenceSession::ScorePaddedBatch(
   }
 }
 
-double InferenceSession::ScoreRoute(const PredictionContext& ctx,
-                                    const traj::Route& route) {
-  if (route.size() < 2) return 0.0;
-  if (!net_.ValidateRoute(route).ok()) return kNegInf;
-  PrepareContext(ctx);
-  ResetState(1);
-  rows_.assign(1, &route);
-  batch_out_.assign(1, 0.0);
-  ScorePaddedBatch(rows_, 0, &batch_out_);
-  return batch_out_[0];
+void InferenceSession::ScoreItems(ScoreItem* items, size_t count) {
+  ctx_ptrs_.clear();
+  rows_.clear();
+  row_ctx_.clear();
+  row_dst_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    ScoreItem& item = items[i];
+    const std::vector<traj::Route>& routes = *item.routes;
+    item.scores.assign(routes.size(), 0.0);
+    for (size_t j = 0; j < routes.size(); ++j) {
+      if (routes[j].size() < 2) continue;  // score 0 by convention
+      if (!net_.ValidateRoute(routes[j]).ok()) {
+        item.scores[j] = kNegInf;
+        continue;
+      }
+      rows_.push_back(&routes[j]);
+      row_ctx_.push_back(static_cast<int>(i));
+      row_dst_.emplace_back(i, j);
+    }
+    ctx_ptrs_.push_back(item.ctx);
+  }
+  if (rows_.empty()) return;
+  PrepareContexts(ctx_ptrs_.data(), static_cast<int64_t>(count));
+  ResetState(static_cast<int64_t>(rows_.size()));
+  batch_out_.assign(rows_.size(), 0.0);
+  ScorePaddedBatch(rows_, row_ctx_, 0, &batch_out_);
+  for (size_t b = 0; b < rows_.size(); ++b) {
+    items[row_dst_[b].first].scores[row_dst_[b].second] = batch_out_[b];
+  }
+}
+
+void InferenceSession::ScoreRoutesMulti(std::vector<ScoreItem>* items) {
+  ScoreItems(items->data(), items->size());
 }
 
 std::vector<double> InferenceSession::ScoreRoutes(
     const PredictionContext& ctx, const std::vector<traj::Route>& routes) {
-  std::vector<double> result(routes.size(), 0.0);
-  rows_.clear();
-  row_index_.clear();
-  for (size_t i = 0; i < routes.size(); ++i) {
-    if (routes[i].size() < 2) continue;  // score 0 by convention
-    if (!net_.ValidateRoute(routes[i]).ok()) {
-      result[i] = kNegInf;
-      continue;
-    }
-    rows_.push_back(&routes[i]);
-    row_index_.push_back(static_cast<int>(i));
-  }
-  if (rows_.empty()) return result;
-  PrepareContext(ctx);
-  ResetState(static_cast<int64_t>(rows_.size()));
-  batch_out_.assign(rows_.size(), 0.0);
-  ScorePaddedBatch(rows_, 0, &batch_out_);
-  for (size_t b = 0; b < rows_.size(); ++b) {
-    result[static_cast<size_t>(row_index_[b])] = batch_out_[b];
-  }
-  return result;
+  ScoreItem item;
+  item.ctx = &ctx;
+  item.routes = &routes;
+  ScoreItems(&item, 1);
+  return std::move(item.scores);
+}
+
+double InferenceSession::ScoreRoute(const PredictionContext& ctx,
+                                    const traj::Route& route) {
+  if (route.size() < 2) return 0.0;
+  if (!net_.ValidateRoute(route).ok()) return kNegInf;
+  const PredictionContext* one = &ctx;
+  PrepareContexts(&one, 1);
+  ResetState(1);
+  rows_.assign(1, &route);
+  row_ctx_.assign(1, 0);
+  batch_out_.assign(1, 0.0);
+  ScorePaddedBatch(rows_, row_ctx_, 0, &batch_out_);
+  return batch_out_[0];
 }
 
 double InferenceSession::ScoreContinuation(const PredictionContext& ctx,
@@ -1103,16 +769,18 @@ double InferenceSession::ScoreContinuation(const PredictionContext& ctx,
   full_.assign(prefix.begin(), prefix.end());
   full_.insert(full_.end(), continuation.begin() + 1, continuation.end());
   if (!net_.ValidateRoute(full_).ok()) return kNegInf;
-  PrepareContext(ctx);
+  const PredictionContext* one = &ctx;
+  PrepareContexts(&one, 1);
   ResetState(1);
   const size_t first_scored = prefix.size() - 1;
   for (size_t t = 0; t < first_scored; ++t) {
     const int token = static_cast<int>(full_[t]);
-    StepBatch(&token, 1, /*want_logits=*/false);  // warm, unscored
+    StepBatch(&token, &kQuery0, 1, /*want_logits=*/false);  // warm, unscored
   }
   rows_.assign(1, &full_);
+  row_ctx_.assign(1, 0);
   batch_out_.assign(1, 0.0);
-  ScorePaddedBatch(rows_, first_scored, &batch_out_);
+  ScorePaddedBatch(rows_, row_ctx_, first_scored, &batch_out_);
   return batch_out_[0];
 }
 
@@ -1123,7 +791,7 @@ std::vector<double> InferenceSession::ScoreContinuations(
   std::vector<double> result(candidates.size(), 0.0);
   if (fulls_.size() < candidates.size()) fulls_.resize(candidates.size());
   rows_.clear();
-  row_index_.clear();
+  row_dst_.clear();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const traj::Route& cont = candidates[i];
     DEEPST_CHECK(!cont.empty());
@@ -1136,17 +804,18 @@ std::vector<double> InferenceSession::ScoreContinuations(
       continue;
     }
     rows_.push_back(&full);
-    row_index_.push_back(static_cast<int>(i));
+    row_dst_.emplace_back(0, i);
   }
   if (rows_.empty()) return result;
-  PrepareContext(ctx);
+  const PredictionContext* one = &ctx;
+  PrepareContexts(&one, 1);
   // The prefix is shared: warm the state once at batch 1, then broadcast
   // the warmed rows to every candidate.
   ResetState(1);
   const size_t first_scored = prefix.size() - 1;
   for (size_t t = 0; t < first_scored; ++t) {
     const int token = static_cast<int>(prefix[t]);
-    StepBatch(&token, 1, /*want_logits=*/false);
+    StepBatch(&token, &kQuery0, 1, /*want_logits=*/false);
   }
   const int64_t batch = static_cast<int64_t>(rows_.size());
   const int64_t hd = gru_.hidden_dim;
@@ -1163,10 +832,11 @@ std::vector<double> InferenceSession::ScoreContinuations(
       if (b > 0) std::copy_n(sd, hd, sd + b * hd);
     }
   }
+  row_ctx_.assign(rows_.size(), 0);
   batch_out_.assign(rows_.size(), 0.0);
-  ScorePaddedBatch(rows_, first_scored, &batch_out_);
+  ScorePaddedBatch(rows_, row_ctx_, first_scored, &batch_out_);
   for (size_t b = 0; b < rows_.size(); ++b) {
-    result[static_cast<size_t>(row_index_[b])] = batch_out_[b];
+    result[row_dst_[b].second] = batch_out_[b];
   }
   return result;
 }
@@ -1176,14 +846,15 @@ void InferenceSession::TopSlotsAlongRoute(const PredictionContext& ctx,
                                           std::vector<int>* slots) {
   slots->clear();
   if (route.size() < 2) return;
-  PrepareContext(ctx);
+  const PredictionContext* one = &ctx;
+  PrepareContexts(&one, 1);
   ResetState(1);
   // Teacher-forced and deliberately uncached: the accuracy-parity harness
   // compares the raw kernels of each packed precision, so memo hits (which
   // replay whatever precision first filled the cache) must not leak in.
   for (size_t t = 0; t + 1 < route.size(); ++t) {
     const int token = static_cast<int>(route[t]);
-    StepBatch(&token, 1, /*want_logits=*/true);
+    StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
     const float* lv = arena_.Get(kLogits)->data();
     const int deg = net_.OutDegree(route[t]);
     int best = 0;

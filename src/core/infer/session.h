@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/deepst_model.h"
@@ -50,20 +51,27 @@ struct SharedInferWeights {
 // the fast path itself is bitwise identical for every thread count and for
 // batched vs one-at-a-time scoring.
 //
-// Per-query precomputation (PrepareContext): the GRU input is
+// One row-mapped engine: every call folds its queries' contexts into rows
+// of a [Q, .] bias block (PrepareContexts), and every GRU step reads row
+// b's biases from query row_ctx[b] (StepBatch). A single-query call is the
+// Q = 1 case with an all-zero row map, so the beam loop, the step, the
+// context fold and the padded scorer each exist once, and the single-query
+// entry points are thin adapters over them.
+//
+// Per-query precomputation (PrepareContexts): the GRU input is
 // [token_embedding, dest_repr, traffic_repr] where the context part is
 // constant for a whole query, so its layer-0 input-to-hidden product
 // (+ b_ih) is folded into a per-query bias and each step only multiplies
 // the embedding columns. Likewise alpha's bias, dest_term and traffic_term
 // collapse into one per-query logit bias row.
 //
-// Round two (this file + nn/infer/forward.h): the per-step GEMV weights are
-// packed once per model at config.infer_precision (double/bf16/int8) and
-// shared across the pool, and the prediction paths sit behind the model's
-// TransitionMemoCache — a (context, token-prefix) keyed cache of post-step
-// logits + hidden state. A hit replays kernel outputs bitwise (asserted in
-// quant_test), so memoization changes speed, never results; bf16/int8
-// change results within the gated accuracy tolerance (docs/inference.md).
+// The per-step GEMV weights are packed once per model at
+// config.infer_precision (double/bf16/int8) and shared across the pool, and
+// the prediction paths sit behind the model's TransitionMemoCache, a
+// (context, token-prefix) keyed cache of post-step logits + hidden state. A
+// hit replays kernel outputs bitwise (asserted in quant_test), so
+// memoization changes speed, never results; bf16/int8 change results within
+// the gated accuracy tolerance (docs/inference.md).
 class InferenceSession {
  public:
   explicit InferenceSession(const DeepSTModel* model);
@@ -71,6 +79,7 @@ class InferenceSession {
   // Counterparts of the DeepSTModel prediction API (same contracts).
   traj::Route PredictRoute(const PredictionContext& ctx,
                            roadnet::SegmentId origin, util::Rng* rng);
+  // One-query adapter over the lock-step beam loop (BeamSearch).
   traj::Route PredictRouteBeam(const PredictionContext& ctx,
                                roadnet::SegmentId origin, util::Rng* rng,
                                double deadline_ms = 0.0,
@@ -95,17 +104,18 @@ class InferenceSession {
   // Work items are core::PredictItem / core::ScoreItem (deepst_model.h).
   // Each item carries its own folded context; the queries share every padded
   // GRU step, with each batch row reading its own query's context biases
-  // through the row-mapped kernel (nn::infer::LinearForwardRowBias). Kernels
-  // are row-local, so each item's result is bitwise identical to the
-  // corresponding single-query call on this session.
+  // through the row-mapped kernels. Kernels are row-local, so each item's
+  // result is bitwise identical to the corresponding single-query call on
+  // this session.
   //
   // Lock-step beam search over several queries: every expansion step runs
-  // one padded StepBatch across all live hypotheses of all queries. Requires
-  // the deterministic MAP config (map_prediction && !sample_stop, checked):
-  // no rng draws occur, so batch composition cannot perturb any stream. A
-  // query whose deadline expires drops out of the batch with its best
-  // hypothesis so far; the others keep stepping.
-  void PredictRoutesBeamMulti(std::vector<PredictItem>* items);
+  // one padded StepBatch across all live hypotheses of all queries. `rng`
+  // feeds ShouldStop; with config.sample_stop the draws happen in beam
+  // order, so such a batch must hold exactly one query (checked). A query
+  // whose deadline expires drops out of the batch with its best hypothesis
+  // so far; the others keep stepping.
+  void PredictRoutesBeamMulti(std::vector<PredictItem>* items,
+                              util::Rng* rng = nullptr);
   // Batched scoring across queries: every candidate route of every item
   // advances through one padded [rows, max_len] step sequence. Bitwise
   // identical per item to ScoreRoutes(*item.ctx, *item.routes).
@@ -122,7 +132,7 @@ class InferenceSession {
   // the session is warm (the zero-allocation steady state).
   int64_t arena_grow_count() const { return arena_.grow_count(); }
   // Growths of the non-arena step scratch (gathered embeddings, the
-  // per-layer double state mirrors and the multi-query hypothesis pools).
+  // per-layer double state mirrors and the per-query hypothesis pools).
   // Reserved once per call at the max batch (ResetState / beam setup), so
   // like arena_grow_count this is constant once the session is warm —
   // StepBatch itself never resizes.
@@ -131,12 +141,12 @@ class InferenceSession {
  private:
   // Scratch arena slot map. Per-layer slots follow the fixed block.
   enum Slot {
-    kCtxIh = 0,     // [1, 3H] layer-0 context input product + b_ih
-    kLogitBias,     // [1, N_max] alpha bias + dest_term + traffic_term
+    kCtxIh = 0,     // [Q, 3H] layer-0 context input product + b_ih
+    kLogitBias,     // [Q, N_max] alpha bias + dest_term + traffic_term
     kGi,            // [B, 3H]
     kGh,            // [B, 3H]
     kLogits,        // [B, N_max]
-    kHitLogits,     // [rows, N_max] memo-hit staging (beam paths)
+    kHitLogits,     // [Q * width, N_max] memo-hit staging (beam loop)
     kPerLayer,      // first of 3 slots per GRU layer: state, gather, hit
   };
   int StateSlotIndex(int layer) const { return kPerLayer + 3 * layer; }
@@ -150,30 +160,24 @@ class InferenceSession {
   // state here (row-indexed like GatherSlot), bypassing StepBatch entirely.
   nn::Tensor* HitSlot(int layer) { return arena_.Get(HitSlotIndex(layer)); }
 
-  // Folds the per-query context into kCtxVec/kCtxIh/kLogitBias.
-  void PrepareContext(const PredictionContext& ctx);
-  // Multi-query variant: folds each context into its own row of kCtxIh
-  // ([Q, 3H]) and kLogitBias ([Q, N_max]); each row is produced by the same
-  // arithmetic as PrepareContext, so row q is bitwise identical to preparing
-  // context q alone.
-  void PrepareContexts(const std::vector<const PredictionContext*>& ctxs);
+  // Folds context q into row q of kCtxIh ([Q, 3H]) and kLogitBias
+  // ([Q, N_max]), and pins the memo epoch plus per-query signatures.
+  void PrepareContexts(const PredictionContext* const* ctxs, int64_t count);
   // Re-shapes the per-layer state slots to [batch, H] and zero-fills them
   // (float slots and their double mirrors alike).
   void ResetState(int64_t batch);
   // Grow-only reservation of the step scratch (embd_ / dstate_) for up to
   // `batch` rows; called once per public call at the max batch so StepBatch
-  // never reallocates. EnsureGatherScratch is the beam-path counterpart for
+  // never reallocates. EnsureGatherScratch is the beam-loop counterpart for
   // the gather mirrors (rows = queries x width).
   void EnsureStepScratch(int64_t batch);
   void EnsureGatherScratch(int64_t rows);
   // One batched GRU step: reads tokens, updates the state slots in place
-  // and (when `want_logits`) fills kLogits with [batch, N_max] rows.
-  void StepBatch(const int* tokens, int64_t batch, bool want_logits);
-  // Multi-context step: row b reads the context biases of query row_ctx[b]
-  // (kCtxIh / kLogitBias as prepared by PrepareContexts). Row-for-row
-  // bitwise identical to StepBatch under that row's own context.
-  void StepBatchMulti(const int* tokens, const int* row_ctx, int64_t batch,
-                      bool want_logits);
+  // and (when `want_logits`) fills kLogits with [batch, N_max] rows. Row b
+  // reads the context biases of query row_ctx[b] (all zero for a
+  // single-context call).
+  void StepBatch(const int* tokens, const int* row_ctx, int64_t batch,
+                 bool want_logits);
 
   // One beam-search hypothesis; fixed-capacity, reused across calls.
   struct Hyp {
@@ -189,22 +193,21 @@ class InferenceSession {
     double Score() const;
   };
   void CopyHyp(const Hyp& src, Hyp* dst);
-  // Scores one padded batch of routes (shared tail of ScoreRoutes /
-  // ScoreContinuations); `first_scored` transitions only warm the state.
+  // Scores one padded batch of routes, row b under query row_ctx[b]'s
+  // biases; the first `first_scored` transitions only warm the state
+  // (ScoreContinuation(s) feed them beforehand).
   void ScorePaddedBatch(const std::vector<const traj::Route*>& rows,
-                        size_t first_scored, std::vector<double>* out);
-  // Multi-context counterpart: row b steps under row_ctx[b]'s biases.
-  void ScorePaddedBatchMulti(const std::vector<const traj::Route*>& rows,
-                             const std::vector<int>& row_ctx,
-                             std::vector<double>* out);
+                        const std::vector<int>& row_ctx, size_t first_scored,
+                        std::vector<double>* out);
+  // The multi-query scorer behind ScoreRoutes and ScoreRoutesMulti.
+  void ScoreItems(ScoreItem* items, size_t count);
 
-  // Per-query beam bookkeeping for PredictRoutesBeamMulti; pools sized like
-  // the single-query beams_/pool_ and grown once to the largest batch seen.
+  // Per-query beam bookkeeping, grown once to the largest batch seen.
   struct QueryBeam {
-    std::vector<Hyp> beams;
-    std::vector<Hyp> pool;
+    std::vector<Hyp> beams;  // the current width hypotheses
+    std::vector<Hyp> pool;   // one step's candidates (done + expansions)
     size_t pool_size = 0;
-    std::vector<int> pool_order;
+    std::vector<int> pool_order;  // sort permutation over pool
     std::vector<int> active_row;  // beam index -> batch row or -1
     std::vector<int> hit_row;     // beam index -> memo staging row or -1
     int num_beams = 0;
@@ -212,9 +215,12 @@ class InferenceSession {
     util::Stopwatch watch;  // per-item deadline budget
   };
   void EnsureQueryBeams(size_t count);
-  // Copies the best hypothesis (preferring completed ones, like the single-
-  // query epilogue) into the item's route.
+  // Copies the best hypothesis (preferring completed ones) into the item's
+  // route.
   void FinalizeQuery(const QueryBeam& qb, PredictItem* item);
+  // The lock-step beam loop behind PredictRouteBeam and
+  // PredictRoutesBeamMulti.
+  void BeamSearch(PredictItem* items, size_t count, util::Rng* rng);
 
   // -- Memoization plumbing (memo_ == nullptr disables everything) -----------
   // Context signature: hash of the exact context tensor bytes (so a traffic
@@ -238,14 +244,12 @@ class InferenceSession {
   int64_t emb_dim_;
   int64_t nmax_;
   // Shared transition memo cache (null = disabled). The epoch is pinned per
-  // query in PrepareContext(s), so a wholesale invalidation mid-query keeps
+  // call in PrepareContexts, so a wholesale invalidation mid-query keeps
   // this query's view self-consistent and its insertions dead on arrival.
   nn::infer::TransitionMemoCache* memo_;
   uint64_t memo_epoch_ = 0;
-  nn::infer::MemoKey ctx_key_;
-  std::vector<nn::infer::MemoKey> ctx_keys_;  // multi-query signatures
+  std::vector<nn::infer::MemoKey> ctx_keys_;  // per-query signatures
   std::vector<float*> state_ptrs_;            // [layers] pointer scratch
-  std::vector<int> hit_row_;  // single-query beam: beam index -> hit row
 
   nn::infer::Arena arena_;
   // Double-precision activation scratch fed to the GEMV kernels: gathered
@@ -262,21 +266,14 @@ class InferenceSession {
   std::vector<std::vector<double>> dgather_;  // per layer: [rows, H]
   int64_t scratch_grow_count_ = 0;
   std::vector<double> ctxd_;  // [ctx_dim]
-  // Beam pools: beams_ holds the current width hypotheses, pool_ the
-  // candidate set of one step (carried-over done beams + expansions).
-  std::vector<Hyp> beams_;
-  std::vector<Hyp> pool_;
-  size_t pool_size_ = 0;
-  std::vector<int> pool_order_;            // sort permutation over pool_
   std::vector<std::pair<double, int>> ranked_;  // slot ranking scratch
   std::vector<int> tokens_;
-  std::vector<int> active_row_;            // beam index -> batch row or -1
   std::vector<double> weights_;            // sampled-prediction scratch
   std::vector<const traj::Route*> rows_;   // batched-scoring row set
-  std::vector<int> row_index_;             // batch row -> caller index
-  std::vector<double> batch_out_;
-  // Cross-query batching scratch.
   std::vector<int> row_ctx_;               // batch row -> query index
+  // Batch row -> (item, route) it scores, recorded as the row is built.
+  std::vector<std::pair<size_t, size_t>> row_dst_;
+  std::vector<double> batch_out_;
   std::vector<const PredictionContext*> ctx_ptrs_;
   std::vector<QueryBeam> query_beams_;
   traj::Route full_;                       // prefix + continuation scratch

@@ -338,13 +338,12 @@ std::vector<util::StatusOr<ServingResult>> ServingContext::ExecuteBatch(
   std::vector<util::StatusOr<ServingResult>> results(n, ServingResult{});
   if (n == 0) return results;
 
-  // Cross-query coalescing requires the graph-free deterministic MAP config
-  // (no rng draws in generation, so batch composition cannot perturb any
-  // stream). Other configs execute request by request -- same per-request
-  // results, just without the shared batch.
+  // Cross-query coalescing requires the deterministic MAP config (no rng
+  // draws in generation, so batch composition cannot perturb any stream).
+  // Other configs execute request by request -- same per-request results,
+  // just without the shared batch.
   const DeepSTConfig& mc = model_->config();
-  const bool batchable =
-      !mc.graph_inference && mc.map_prediction && !mc.sample_stop;
+  const bool batchable = mc.map_prediction && !mc.sample_stop;
   if (!batchable) {
     for (size_t i = 0; i < n; ++i) {
       results[i] = ExecuteOne((*requests)[i]);

@@ -59,6 +59,18 @@ DEEPST_FORCE_INLINE float UnpackBf16(uint16_t h) {
   return f;
 }
 
+// Per-activation-row bias base: with a row map the bias rows live in a
+// [num_queries, n] block and row i reads row bias_row[i]; without one every
+// row shares `base`. Folding the offset into a per-row pointer lets one
+// kernel serve both call forms; per element the arithmetic (v += bias[j])
+// is unchanged.
+DEEPST_FORCE_INLINE const float* BiasBase(const float* base,
+                                          const int* bias_row, int64_t i,
+                                          int64_t n) {
+  if (base == nullptr || bias_row == nullptr) return base;
+  return base + static_cast<int64_t>(bias_row[i]) * n;
+}
+
 // One output element: an 8-lane double dot over k, lanes combined pairwise
 // in a fixed order, plus the optional biases. Inlined into each ISA clone
 // of LinearChunk so the lane arithmetic picks up the clone's vector width.
@@ -87,35 +99,15 @@ DEEPST_FORCE_INLINE float DotBias(const double* xrow, const double* wrow, int64_
 // tracked incrementally to keep integer divisions out of the loop.
 DEEPST_INFER_CLONES
 void LinearChunk(const double* x, int64_t ldx, const double* w, int64_t ldw,
-                 const float* bias, const float* bias2, float* out, int64_t k,
-                 int64_t n, int64_t begin, int64_t end) {
+                 const float* bias, const float* bias2, const int* bias_row,
+                 float* out, int64_t k, int64_t n, int64_t begin,
+                 int64_t end) {
   int64_t i = begin / n;
   int64_t j = begin % n;
   for (int64_t e = begin; e < end; ++e) {
-    out[e] = DotBias(x + i * ldx, w + j * ldw, k, bias, bias2, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-// Row-mapped bias counterpart of LinearChunk: the bias rows live in a
-// [num_queries, n] block and `bias_row[i]` picks the row for output row i.
-// Reuses DotBias with per-row-offset pointers, so each element's arithmetic
-// is exactly LinearChunk's.
-DEEPST_INFER_CLONES
-void LinearChunkRowBias(const double* x, int64_t ldx, const double* w,
-                        int64_t ldw, const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t k, int64_t n,
-                        int64_t begin, int64_t end) {
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
     out[e] = DotBias(x + i * ldx, w + j * ldw, k,
-                     bias != nullptr ? bias + off : nullptr,
-                     bias2 != nullptr ? bias2 + off : nullptr, j);
+                     BiasBase(bias, bias_row, i, n),
+                     BiasBase(bias2, bias_row, i, n), j);
     if (++j == n) {
       j = 0;
       ++i;
@@ -249,41 +241,22 @@ struct FloatRow {
   }
 };
 
-// Packed-precision counterparts of LinearChunk / LinearChunkRowBias: same
-// flat [begin, end) partition and incremental (i, j) bookkeeping, different
-// weight decode. Cloned per ISA like the double kernels.
+// Packed-precision counterparts of LinearChunk: same flat [begin, end)
+// partition, incremental (i, j) bookkeeping and bias-row mapping, different
+// weight decode. Cloned per ISA like the double kernel.
 DEEPST_INFER_CLONES
 void GemvChunkBf16(const double* x, int64_t ldx, const uint16_t* w,
-                   const float* bias, const float* bias2, float* out,
-                   int64_t k, int64_t n, int64_t begin, int64_t end) {
+                   const float* bias, const float* bias2, const int* bias_row,
+                   float* out, int64_t k, int64_t n, int64_t begin,
+                   int64_t end) {
   DEEPST_CHECK(k <= kMaxFloatK);
   FloatRow fr;
   int64_t i = begin / n;
   int64_t j = begin % n;
   for (int64_t e = begin; e < end; ++e) {
-    out[e] = DotBiasBf16(fr.Refresh(x, ldx, k, i), w + j * k, k, bias, bias2,
-                         j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-DEEPST_INFER_CLONES
-void GemvChunkBf16RowBias(const double* x, int64_t ldx, const uint16_t* w,
-                          const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t k,
-                          int64_t n, int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
     out[e] = DotBiasBf16(fr.Refresh(x, ldx, k, i), w + j * k, k,
-                         bias != nullptr ? bias + off : nullptr,
-                         bias2 != nullptr ? bias2 + off : nullptr, j);
+                         BiasBase(bias, bias_row, i, n),
+                         BiasBase(bias2, bias_row, i, n), j);
     if (++j == n) {
       j = 0;
       ++i;
@@ -294,39 +267,17 @@ void GemvChunkBf16RowBias(const double* x, int64_t ldx, const uint16_t* w,
 DEEPST_INFER_CLONES
 void GemvChunkI8(const double* x, int64_t ldx, const int8_t* w,
                  const float* scale, const int32_t* zero, const float* bias,
-                 const float* bias2, float* out, int64_t k, int64_t n,
-                 int64_t begin, int64_t end) {
+                 const float* bias2, const int* bias_row, float* out,
+                 int64_t k, int64_t n, int64_t begin, int64_t end) {
   DEEPST_CHECK(k <= kMaxFloatK);
   FloatRow fr;
   int64_t i = begin / n;
   int64_t j = begin % n;
   for (int64_t e = begin; e < end; ++e) {
-    const float* xf = fr.Refresh(x, ldx, k, i);
-    out[e] = DotBiasI8(xf, fr.xsum, w + j * k, k, scale[j], zero[j], bias,
-                       bias2, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-DEEPST_INFER_CLONES
-void GemvChunkI8RowBias(const double* x, int64_t ldx, const int8_t* w,
-                        const float* scale, const int32_t* zero,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t k, int64_t n,
-                        int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
     const float* xf = fr.Refresh(x, ldx, k, i);
     out[e] = DotBiasI8(xf, fr.xsum, w + j * k, k, scale[j], zero[j],
-                       bias != nullptr ? bias + off : nullptr,
-                       bias2 != nullptr ? bias2 + off : nullptr, j);
+                       BiasBase(bias, bias_row, i, n),
+                       BiasBase(bias2, bias_row, i, n), j);
     if (++j == n) {
       j = 0;
       ++i;
@@ -356,16 +307,6 @@ void GemvChunkI8RowBias(const double* x, int64_t ldx, const int8_t* w,
 
 constexpr Vec8 kZero8 = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
 constexpr VecF16 kZeroF16 = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-
-// Per-activation-row bias base: the row-mapped variant offsets bias/bias2 by
-// bias_row[i] * n, the shared variant uses one base for every row. Folding
-// the offset into a per-row pointer lets one band kernel serve both call
-// forms; per element the arithmetic (v += bias[j]) is unchanged.
-DEEPST_FORCE_INLINE const float* BiasBase(const float* base, const int* bias_row, int64_t i,
-                             int64_t n) {
-  if (base == nullptr || bias_row == nullptr) return base;
-  return base + static_cast<int64_t>(bias_row[i]) * n;
-}
 
 // Finish one double accumulator: scalar K tail from the row-major weight
 // row, then exactly DotBias's pairwise reduction, cast and bias adds.
@@ -721,22 +662,13 @@ void ToDouble(const float* src, double* dst, int64_t n) {
 
 void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
                    const float* bias, const float* bias2, float* out,
-                   int64_t m, int64_t k, int64_t n) {
+                   int64_t m, int64_t k, int64_t n, const int* bias_row) {
   // Flat partition over output elements (i, j): chunk boundaries depend only
   // on (m*n, kDotGrain) and each element's accumulation order is fixed, so
   // the schedule is invisible in the result.
   ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-    LinearChunk(x, ldx, w, ldw, bias, bias2, out, k, n, begin, end);
-  });
-}
-
-void LinearForwardRowBias(const double* x, int64_t ldx, const double* w,
-                          int64_t ldw, const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t m,
-                          int64_t k, int64_t n) {
-  ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-    LinearChunkRowBias(x, ldx, w, ldw, bias, bias2, bias_row, out, k, n,
-                       begin, end);
+    LinearChunk(x, ldx, w, ldw, bias, bias2, bias_row, out, k, n, begin,
+                end);
   });
 }
 
@@ -874,35 +806,7 @@ size_t PackedMatrix::PanelBytes() const {
 
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
                  const float* bias, const float* bias2, float* out, int64_t m,
-                 int64_t n) {
-  DEEPST_DCHECK(w.rows == n);
-  const int64_t k = w.cols;
-  if (m > 1 && w.has_panels()) {
-    GemmBlocked(x, ldx, w, bias, bias2, nullptr, out, m, n);
-    return;
-  }
-  switch (w.precision) {
-    case Precision::kDouble:
-      LinearForward(x, ldx, w.d.data(), k, bias, bias2, out, m, k, n);
-      return;
-    case Precision::kBf16:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkBf16(x, ldx, w.h.data(), bias, bias2, out, k, n, begin, end);
-      });
-      return;
-    case Precision::kInt8:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkI8(x, ldx, w.q.data(), w.scale.data(), w.zero.data(), bias,
-                    bias2, out, k, n, begin, end);
-      });
-      return;
-  }
-}
-
-void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t m,
-                        int64_t n) {
+                 int64_t n, const int* bias_row) {
   DEEPST_DCHECK(w.rows == n);
   const int64_t k = w.cols;
   if (m > 1 && w.has_panels()) {
@@ -911,19 +815,19 @@ void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
   }
   switch (w.precision) {
     case Precision::kDouble:
-      LinearForwardRowBias(x, ldx, w.d.data(), k, bias, bias2, bias_row, out,
-                           m, k, n);
+      LinearForward(x, ldx, w.d.data(), k, bias, bias2, out, m, k, n,
+                    bias_row);
       return;
     case Precision::kBf16:
       ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkBf16RowBias(x, ldx, w.h.data(), bias, bias2, bias_row, out,
-                             k, n, begin, end);
+        GemvChunkBf16(x, ldx, w.h.data(), bias, bias2, bias_row, out, k, n,
+                      begin, end);
       });
       return;
     case Precision::kInt8:
       ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkI8RowBias(x, ldx, w.q.data(), w.scale.data(), w.zero.data(),
-                           bias, bias2, bias_row, out, k, n, begin, end);
+        GemvChunkI8(x, ldx, w.q.data(), w.scale.data(), w.zero.data(), bias,
+                    bias2, bias_row, out, k, n, begin, end);
       });
       return;
   }

@@ -55,23 +55,20 @@ void ToDouble(const float* src, double* dst, int64_t n);
 // of a [Out, In] weight matrix without materializing it. Overwrites out.
 // The optional second bias folds a per-query context term (e.g. the
 // destination logit bias) into the same pass.
+//
+// `bias_row` (nullable) row-maps the biases for cross-query batches: output
+// row i then adds row bias_row[i] of a [num_queries, n] bias block (and
+// likewise for bias2) instead of one shared row. Per output element the
+// arithmetic is the same either way — double-precision dot, one float cast,
+// float bias adds in the same order — so a batch that interleaves rows of
+// several queries is bitwise identical, row for row, to running each
+// query's rows with its own bias row. This is what lets the serving
+// scheduler coalesce beam steps and ScoreRoutes calls from different
+// clients into one padded batch without perturbing any result.
 void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
                    const float* bias, const float* bias2, float* out,
-                   int64_t m, int64_t k, int64_t n);
-
-// Row-mapped bias variant for cross-query batches: output row i adds the
-// bias row `bias_row[i]` of a [num_queries, n] bias block (and likewise for
-// bias2) instead of one shared row. Per output element the arithmetic is
-// identical to LinearForward — double-precision dot, one float cast, float
-// bias adds in the same order — so a batch that interleaves rows of several
-// queries is bitwise identical, row for row, to running each query's rows
-// through LinearForward with its own bias row. This is what lets the
-// serving scheduler coalesce beam steps and ScoreRoutes calls from
-// different clients into one padded batch without perturbing any result.
-void LinearForwardRowBias(const double* x, int64_t ldx, const double* w,
-                          int64_t ldw, const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t m,
-                          int64_t k, int64_t n);
+                   int64_t m, int64_t k, int64_t n,
+                   const int* bias_row = nullptr);
 
 // A weight matrix packed once for the GEMV fast path, in one of the
 // precisions of nn/infer/precision.h. Packing reads a [rows, cols] block of
@@ -160,14 +157,11 @@ struct PackedMatrix {
 // (8-lane pairwise double for kDouble, source-fixed 16-lane float for
 // bf16/int8), so the blocked path is bitwise identical to the chunk path
 // for every precision — it is purely a bandwidth optimization.
+//
+// `bias_row` row-maps the biases exactly as in LinearForward.
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
                  const float* bias, const float* bias2, float* out, int64_t m,
-                 int64_t n);
-
-// Row-mapped bias variant (see LinearForwardRowBias).
-void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t m, int64_t n);
+                 int64_t n, const int* bias_row = nullptr);
 
 // Fused GRU gate update (PyTorch gate layout, matching nn::GruCell::Step):
 //   r = sigmoid(gi[:, 0:H]  + gh[:, 0:H])

@@ -57,7 +57,7 @@ struct MemoStats {
 //
 // Epochs: every entry carries the epoch it was inserted under. Invalidate()
 // bumps the global epoch (O(1) wholesale invalidation — no sweep); Lookup
-// and Insert both take the epoch the *query* pinned at PrepareContext time,
+// and Insert both take the epoch the *query* pinned at PrepareContexts time,
 // so an in-flight query keeps a self-consistent view across a swap and a
 // stale-epoch entry is never served to a new-epoch query. Epoch 0 is
 // reserved for empty ways.
@@ -72,7 +72,7 @@ class TransitionMemoCache {
   int num_layers() const { return num_layers_; }
   int64_t hidden_dim() const { return hidden_dim_; }
 
-  // Epoch queries pin at PrepareContext time.
+  // Epoch queries pin at PrepareContexts time.
   uint64_t current_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }

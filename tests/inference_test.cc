@@ -1,8 +1,9 @@
 // Coverage of the graph-free inference engine (core/infer): parity with the
 // autodiff reference path across every ablation config, beam/greedy
 // equivalence, bitwise thread-count invariance, batched-vs-individual
-// scoring identity, the zero-allocation steady state, and concurrent use of
-// the model's session pool.
+// scoring identity, sampled-stop rng parity through the beam loop, the
+// zero-allocation steady state, and concurrent use of the model's session
+// pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,19 +150,20 @@ TEST(InferenceRegressionTest, BeamWidthOneEqualsGreedy) {
   DeepSTConfig cfg = SmallConfig();
   cfg.use_traffic = false;
   cfg.beam_width = 1;
-  for (const bool graph : {false, true}) {
-    cfg.graph_inference = graph;
-    DeepSTModel model(world.net(), cfg, nullptr);
-    for (uint64_t seed : {3u, 17u, 99u}) {
-      util::Rng rng(seed);
-      for (const auto* rec : trips) {
-        RouteQuery query = eval::QueryFor(rec->trip);
-        PredictionContext ctx = model.MakeContext(query, &rng);
-        util::Rng rng_greedy(seed + 1), rng_beam(seed + 1);
-        EXPECT_EQ(model.PredictRoute(ctx, query.origin, &rng_greedy),
-                  model.PredictRouteBeam(ctx, query.origin, &rng_beam))
-            << "graph_inference=" << graph << " seed=" << seed;
-      }
+  DeepSTModel model(world.net(), cfg, nullptr);
+  for (uint64_t seed : {3u, 17u, 99u}) {
+    util::Rng rng(seed);
+    for (const auto* rec : trips) {
+      RouteQuery query = eval::QueryFor(rec->trip);
+      PredictionContext ctx = model.MakeContext(query, &rng);
+      util::Rng rng_greedy(seed + 1), rng_beam(seed + 1);
+      EXPECT_EQ(model.PredictRoute(ctx, query.origin, &rng_greedy),
+                model.PredictRouteBeam(ctx, query.origin, &rng_beam))
+          << "fast seed=" << seed;
+      util::Rng ref_greedy(seed + 1), ref_beam(seed + 1);
+      EXPECT_EQ(model.PredictRouteReference(ctx, query.origin, &ref_greedy),
+                model.PredictRouteBeamReference(ctx, query.origin, &ref_beam))
+          << "reference seed=" << seed;
     }
   }
 }
@@ -479,6 +481,71 @@ TEST(InferenceMultiQueryTest, BeamMultiDeadlinesArePerItem) {
   EXPECT_TRUE(world.net().ValidateRoute(items[0].route).ok());
   EXPECT_FALSE(items[1].budget_hit);
   EXPECT_EQ(items[1].route, unbudgeted);
+}
+
+// Sampled stops (config.sample_stop) draw one Bernoulli per expansion, in
+// beam order. The single-query beam is the one-query case of the lock-step
+// loop with the rng threaded through, so its routes and its rng stream must
+// both match the reference beam's exactly.
+TEST(InferenceSampledStopTest, BeamMatchesReferenceRouteAndRngStream) {
+  auto& world = TestWorld();
+  const auto trips = TestTrips(6);
+  ASSERT_GE(trips.size(), 3u);
+  DeepSTConfig cfg = SmallConfig();
+  cfg.use_traffic = false;
+  cfg.sample_stop = true;
+  DeepSTModel model(world.net(), cfg, nullptr);
+  util::Rng rng(34);
+  util::Rng fast_rng(11), ref_rng(11);
+  int multi_step = 0;
+  for (const auto* rec : trips) {
+    const RouteQuery query = eval::QueryFor(rec->trip);
+    const PredictionContext ctx = model.MakeContext(query, &rng);
+    const traj::Route fast =
+        model.PredictRouteBeam(ctx, query.origin, &fast_rng);
+    const traj::Route ref =
+        model.PredictRouteBeamReference(ctx, query.origin, &ref_rng);
+    EXPECT_EQ(fast, ref);
+    EXPECT_TRUE(world.net().ValidateRoute(fast).ok());
+    // Same draws consumed: the streams continue in lock step.
+    EXPECT_EQ(fast_rng.NextUint64(), ref_rng.NextUint64());
+    if (fast.size() > 2) ++multi_step;
+  }
+  EXPECT_GT(multi_step, 0);  // some beams expanded past the first step
+}
+
+// With sampled stops the model's multi-query entry point falls back to
+// per-item beams sharing the caller's rng, so the batch must equal the same
+// items run one by one through PredictRouteBeam with an identically seeded
+// rng, leaving both streams at the same position.
+TEST(InferenceSampledStopTest, BeamMultiFallbackEqualsPerItemCalls) {
+  auto& world = TestWorld();
+  const auto trips = TestTrips(4);
+  ASSERT_GE(trips.size(), 3u);
+  DeepSTConfig cfg = SmallConfig();
+  cfg.sample_stop = true;
+  DeepSTModel model(world.net(), cfg, world.traffic_cache());
+  util::Rng rng(35);
+  std::vector<PredictionContext> ctxs;
+  std::vector<PredictItem> items(trips.size());
+  ctxs.reserve(trips.size());
+  for (size_t i = 0; i < trips.size(); ++i) {
+    const RouteQuery query = eval::QueryFor(trips[i]->trip);
+    ctxs.push_back(model.MakeContext(query, &rng));
+    items[i].ctx = &ctxs.back();
+    items[i].origin = query.origin;
+  }
+  util::Rng multi_rng(12), single_rng(12);
+  model.PredictRoutesBeamMulti(&items, &multi_rng);
+  for (size_t i = 0; i < items.size(); ++i) {
+    bool budget_hit = true;
+    const traj::Route single = model.PredictRouteBeam(
+        ctxs[i], items[i].origin, &single_rng, 0.0, &budget_hit);
+    EXPECT_EQ(items[i].route, single) << "query " << i;
+    EXPECT_FALSE(items[i].budget_hit) << "query " << i;
+    EXPECT_FALSE(budget_hit) << "query " << i;
+  }
+  EXPECT_EQ(multi_rng.NextUint64(), single_rng.NextUint64());
 }
 
 // A 3x3 lattice of two-way streets (24 directed segments). Every successor

@@ -215,7 +215,7 @@ TEST(TrafficTensorCacheTest, CloneBitIdenticalAndIndependent) {
 // TSan regression for the published-snapshot reader contract: once
 // ingestion is done, any number of threads may call the read API
 // concurrently -- including racing to lazily build the SAME slot tensor
-// for the first time. Run under tools/check_tsan.sh.
+// for the first time. Run under tools/check_sanitize.sh thread.
 TEST(TrafficTensorCacheTest, ConcurrentReadersAreSafe) {
   geo::BoundingBox box;
   box.Extend({0, 0});
