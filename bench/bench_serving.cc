@@ -12,9 +12,8 @@
 // A final "server_ingest" scenario (docs/streaming.md) reruns the 4-worker
 // fleet against a live SnapshotStore: a concurrent client streams ingest
 // batches through the same server while the background aggregator publishes
-// swaps (each bumping the transition-memo epoch). Its p99 is the swap-stall
-// tail a live deployment pays; tools/check_perf.sh gates it within 1.5x of
-// the static 4-worker p99.
+// swaps. Its p99 is the swap-stall tail a live deployment pays;
+// tools/check_perf.sh gates it within 1.5x of the static 4-worker p99.
 
 #include <algorithm>
 #include <atomic>
@@ -173,9 +172,9 @@ RunStats RunServer(core::ServingContext* serving,
         (void)server.Submit(std::move(req)).get();
         // Paced swap churn: publish every second acked batch, with a short
         // gap between batches. Fast enough that the fleet crosses several
-        // generation boundaries (clone + fold, memo-epoch bump) per run,
-        // slow enough that the builder does not saturate a core -- the
-        // live cadence the p99 gate is about.
+        // generation boundaries (clone + fold) per run, slow enough that
+        // the builder does not saturate a core -- the live cadence the p99
+        // gate is about.
         if (seq % 32 == 0) (void)store->SwapNow();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -272,7 +271,7 @@ int main() {
 
   // Live-ingest scenario: 4 workers again, but the context serves from a
   // SnapshotStore under concurrent ingest and swap churn (real WAL on disk,
-  // background aggregator, memo-epoch bump per publish).
+  // background aggregator).
   {
     const std::string wal_path =
         deepst::bench::OutDir() + "/bench_traffic.wal";
@@ -289,8 +288,6 @@ int main() {
     // run crosses many generation boundaries.
     traffic::SnapshotStore store(world.traffic_cache()->Clone(),
                                  std::move(wal).value(), {});
-    store.set_on_swap(
-        [&model](uint64_t) { model.InvalidateTransitionCache(); });
     core::ServingContext live(&model, &world.index(), {}, &store);
     rows.push_back(RunServer(&live, queries, 4, clients, per_client, &store));
     std::remove(wal_path.c_str());

@@ -80,9 +80,7 @@
 // Every model-loading command also accepts `--precision double|bf16|int8`
 // (packed weight precision of the inference fast path; default double is
 // bitwise the reference, bf16/int8 are accuracy-parity-gated, see
-// docs/inference.md) and `--memo-capacity N` (transition-memo cache entries
-// shared across the session pool, default 16384, 0 disables; hits are
-// bitwise identical to recomputing).
+// docs/inference.md).
 //
 // Fault injection (tools/check_fault.sh, docs/robustness.md): `--faults
 // SPEC` or the DEEPST_FAULTS environment variable arms deterministic fault
@@ -225,12 +223,6 @@ util::StatusOr<core::DeepSTConfig> ModelConfigFromFlags(
     return util::Status::InvalidArgument(
         "--precision must be double, bf16 or int8, got '" + precision + "'");
   }
-  auto memo = flags.GetInt("memo-capacity", base.memo_cache_capacity);
-  if (!memo.ok()) return memo.status();
-  if (memo.value() < 0) {
-    return util::Status::InvalidArgument("--memo-capacity must be >= 0");
-  }
-  base.memo_cache_capacity = memo.value();
 
   const std::string variant = flags.GetString("variant", "deepst");
   if (variant == "deepst") return baselines::DeepStConfigOf(base);
@@ -739,8 +731,7 @@ int CmdServe(const util::Flags& flags) {
   // Live traffic pipeline (docs/streaming.md): --traffic-wal arms ingest.
   // The store's generation 1 is a clone of the dataset-seeded cache (the
   // same bytes static serving reads), the WAL replays into generation 2
-  // before the first query is admitted, and every published swap bumps the
-  // transition-memo epoch so memoized logits never cross generations.
+  // before the first query is admitted.
   std::unique_ptr<traffic::SnapshotStore> store;
   const std::string wal_path = flags.GetString("traffic-wal");
   if (!wal_path.empty()) {
@@ -765,9 +756,6 @@ int CmdServe(const util::Flags& flags) {
     store_cfg.swap_interval_ms = swap_ms.value();
     store = std::make_unique<traffic::SnapshotStore>(
         data.value().cache->Clone(), std::move(wal).value(), store_cfg);
-    core::DeepSTModel* served_model = model.value().get();
-    store->set_on_swap(
-        [served_model](uint64_t) { served_model->InvalidateTransitionCache(); });
     if (!replayed.empty()) {
       store->QueueRecovered(std::move(replayed));
       store->SwapNow();
@@ -841,15 +829,13 @@ int CmdServe(const util::Flags& flags) {
   // active inference configuration next to the health-gate banner.
   {
     const auto packed = model.value()->shared_infer_weights();
-    const auto memo_stats = model.value()->transition_memo_stats();
     std::fprintf(
         stderr,
         "inference: precision=%s (packed weights %.2f MiB, GEMM panels "
-        "%.2f MiB), transition memo capacity %lld entries\n",
+        "%.2f MiB)\n",
         nn::infer::PrecisionName(packed->precision),
         static_cast<double>(packed->packed_weight_bytes) / (1024.0 * 1024.0),
-        static_cast<double>(packed->packed_panel_bytes) / (1024.0 * 1024.0),
-        static_cast<long long>(memo_stats.capacity));
+        static_cast<double>(packed->packed_panel_bytes) / (1024.0 * 1024.0));
   }
 
   const auto& test = data.value().split.test;

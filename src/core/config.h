@@ -92,10 +92,6 @@ struct DeepSTConfig {
   // this only changes speed; off reproduces the PR 8 kernel schedule
   // exactly (the bench A/B baseline).
   bool gemm_blocking = true;
-  // Entry budget of the transition-distribution memo cache shared across
-  // the session pool (CLI --memo-capacity); 0 disables memoization. Hits
-  // are bitwise identical to recomputing, so this only changes speed.
-  int64_t memo_cache_capacity = 16384;
 
   uint64_t seed = 1234;
 

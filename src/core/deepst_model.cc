@@ -78,12 +78,6 @@ DeepSTModel::DeepSTModel(const roadnet::RoadNetwork& net,
     AddSubmodule("traffic_encoder", traffic_encoder_.get());
     AddSubmodule("gamma", gamma_.get());
   }
-
-  if (config.memo_cache_capacity > 0) {
-    memo_ = std::make_unique<nn::infer::TransitionMemoCache>(
-        nmax, config.gru_layers, config.gru_hidden,
-        config.memo_cache_capacity);
-  }
 }
 
 DeepSTModel::~DeepSTModel() = default;
@@ -152,14 +146,12 @@ void DeepSTModel::RetirePooledSessions() {
   }
   // Retirement's contract is "derived inference state may be stale": drop
   // the packed weights so replacement sessions repack from the current
-  // float parameters, and invalidate the memo cache for the same reason.
-  // Sessions already leased out keep their (possibly stale) shared_ptr and
-  // pinned epoch, finish self-consistently, and are dropped on release.
+  // float parameters. Sessions already leased out keep their (possibly
+  // stale) shared_ptr, finish self-consistently, and are dropped on release.
   {
     std::lock_guard<std::mutex> lock(weights_mu_);
     shared_weights_.reset();
   }
-  InvalidateTransitionCache();
   // Session destructors run outside the lock.
 }
 
@@ -170,15 +162,6 @@ DeepSTModel::shared_infer_weights() const {
     shared_weights_ = infer::SharedInferWeights::Build(*this);
   }
   return shared_weights_;
-}
-
-nn::infer::MemoStats DeepSTModel::transition_memo_stats() const {
-  if (memo_ == nullptr) return nn::infer::MemoStats();
-  return memo_->stats();
-}
-
-void DeepSTModel::InvalidateTransitionCache() {
-  if (memo_ != nullptr) memo_->Invalidate();
 }
 
 int64_t DeepSTModel::outstanding_session_leases() const {

@@ -11,7 +11,6 @@
 #include "core/config.h"
 #include "core/destination_proxy.h"
 #include "core/traffic_encoder.h"
-#include "nn/infer/memo.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/serialize.h"
@@ -21,6 +20,14 @@
 #include "traj/types.h"
 
 namespace deepst {
+namespace nn::infer {
+// Always-zero counters of the deleted transition memo cache; see
+// DeepSTModel::transition_memo_stats.
+struct MemoStats {
+  int64_t lookups = 0, hits = 0, misses = 0;
+};
+}  // namespace nn::infer
+
 namespace core {
 
 namespace infer {
@@ -254,21 +261,10 @@ class DeepSTModel : public nn::Module {
   std::shared_ptr<const infer::SharedInferWeights> shared_infer_weights()
       const;
 
-  // Transition-distribution memo cache shared across the session pool; null
-  // when config.memo_cache_capacity == 0. Hits replay kernel outputs
-  // bitwise, so callers only observe it through speed and the counters.
-  nn::infer::TransitionMemoCache* transition_memo() const {
-    return memo_.get();
-  }
-  // Counter snapshot (zeros with epoch/capacity 0 when disabled); surfaced
-  // through ServeMetrics and `deepst serve` stats.
-  nn::infer::MemoStats transition_memo_stats() const;
-  // Wholesale memo invalidation: call after mutating weights in place or
-  // swapping the traffic snapshot wiring. O(1) epoch bump; queries already
-  // in flight keep the epoch they pinned at context-preparation time.
-  // RetirePooledSessions also invalidates (its contract is "scratch state
-  // may be stale"), covering the serve watchdog path.
-  void InvalidateTransitionCache();
+  // citybench is the only reader of these two and of the serve cache_*
+  // counters; they go in the benchmark change that drops nn.memo_hit_rate.
+  nn::infer::MemoStats transition_memo_stats() const { return {}; }
+  void InvalidateTransitionCache() {}
 
   // Teacher-forced top-1 next-segment slots along `route`: feeds
   // route[0..t] and records argmax over the valid neighbor slots at each of
@@ -364,7 +360,6 @@ class DeepSTModel : public nn::Module {
   // sessions repack from the current float parameters.
   mutable std::mutex weights_mu_;
   mutable std::shared_ptr<const infer::SharedInferWeights> shared_weights_;
-  std::unique_ptr<nn::infer::TransitionMemoCache> memo_;
 };
 
 // Log-probability of transitioning into neighbor slot `slot`, normalized

@@ -81,55 +81,9 @@ InferenceSession::InferenceSession(const DeepSTModel* model)
       alpha_b_(model->alpha_layer().bias()),
       emb_dim_(model->segment_embedding().dim()),
       nmax_(model->network().MaxOutDegree()),
-      memo_(model->transition_memo()),
-      arena_(kPerLayer + 3 * model->gru().num_layers()) {
-  state_ptrs_.resize(static_cast<size_t>(gru_.num_layers()), nullptr);
+      arena_(kPerLayer + 2 * model->gru().num_layers()) {
   dstate_.resize(static_cast<size_t>(gru_.num_layers()));
   dgather_.resize(static_cast<size_t>(gru_.num_layers()));
-}
-
-nn::infer::MemoKey InferenceSession::ContextKey(
-    const PredictionContext& ctx) const {
-  // Seed with the context-presence flags, then fold the exact bytes of
-  // every context tensor that feeds the cached computation. The destination
-  // *point* is deliberately not hashed: it only drives ShouldStop, which
-  // runs outside the cached step.
-  nn::infer::MemoKey k;
-  k = nn::infer::MixKey(k, (ctx.has_dest ? 1u : 0u) |
-                               (ctx.has_traffic ? 2u : 0u));
-  if (ctx.has_dest) {
-    k = nn::infer::HashBytesKey(
-        ctx.dest_term.data(),
-        static_cast<size_t>(ctx.dest_term.numel()) * sizeof(float), k);
-    k = nn::infer::HashBytesKey(
-        ctx.dest_repr.data(),
-        static_cast<size_t>(ctx.dest_repr.numel()) * sizeof(float), k);
-  }
-  if (ctx.has_traffic) {
-    k = nn::infer::HashBytesKey(
-        ctx.traffic_term.data(),
-        static_cast<size_t>(ctx.traffic_term.numel()) * sizeof(float), k);
-    k = nn::infer::HashBytesKey(
-        ctx.traffic_repr.data(),
-        static_cast<size_t>(ctx.traffic_repr.numel()) * sizeof(float), k);
-  }
-  return k;
-}
-
-float* const* InferenceSession::HitStatePtrs(int64_t row) {
-  const int64_t hd = gru_.hidden_dim;
-  for (int l = 0; l < gru_.num_layers(); ++l) {
-    state_ptrs_[static_cast<size_t>(l)] = HitSlot(l)->data() + row * hd;
-  }
-  return state_ptrs_.data();
-}
-
-float* const* InferenceSession::BatchStatePtrs(int64_t row) {
-  const int64_t hd = gru_.hidden_dim;
-  for (int l = 0; l < gru_.num_layers(); ++l) {
-    state_ptrs_[static_cast<size_t>(l)] = StateSlot(l)->data() + row * hd;
-  }
-  return state_ptrs_.data();
 }
 
 void InferenceSession::PrepareContexts(const PredictionContext* const* ctxs,
@@ -139,16 +93,6 @@ void InferenceSession::PrepareContexts(const PredictionContext* const* ctxs,
   nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {count, h3});
   nn::Tensor* lb = arena_.Acquire(kLogitBias, {count, nmax_});
   const float* ab = alpha_b_ != nullptr ? alpha_b_->data() : nullptr;
-  if (memo_ != nullptr) {
-    // Queries pin the memo epoch they start with (see TransitionMemoCache);
-    // one epoch covers a whole coalesced batch, and each query's signature
-    // is exactly what it would be alone.
-    memo_epoch_ = memo_->current_epoch();
-    ctx_keys_.resize(static_cast<size_t>(count));
-    for (int64_t q = 0; q < count; ++q) {
-      ctx_keys_[static_cast<size_t>(q)] = ContextKey(*ctxs[q]);
-    }
-  }
   for (int64_t q = 0; q < count; ++q) {
     const PredictionContext& ctx = *ctxs[q];
     const int64_t dest_dim = ctx.has_dest ? ctx.dest_repr.dim(1) : 0;
@@ -222,8 +166,8 @@ void InferenceSession::ResetState(int64_t batch) {
 void InferenceSession::StepBatch(const int* tokens, const int* row_ctx,
                                  int64_t batch, bool want_logits) {
   // Invariant: on entry dstate_[l] holds the double image of StateSlot(l)
-  // for every active row (ResetState zeroes both; the beam gather and memo
-  // paths refresh it). Each layer's GEMVs then read the mirror directly and
+  // for every active row (ResetState zeroes both; the beam gather refreshes
+  // it). Each layer's GEMVs then read the mirror directly and
   // the mirror is re-converted once after GruGates — one ToDouble per layer
   // per step instead of one per GEMV operand. Only the layer-0 input bias
   // and the logit bias are row-mapped into the [Q, .] blocks that
@@ -282,34 +226,11 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
   route.reserve(static_cast<size_t>(config_.max_route_steps) + 2);
   route.push_back(origin);
   SegmentId cur = origin;
-  // Memo key chain: ctx signature mixed with every token fed so far. A hit
-  // replays the cached logits and post-step state bitwise, so the rest of
-  // the loop (and the rng stream in sampling mode) is oblivious to it.
-  nn::infer::MemoKey key =
-      memo_ != nullptr ? ctx_keys_[0] : nn::infer::MemoKey();
   for (int step = 0; step < config_.max_route_steps; ++step) {
     const auto& outs = net_.OutSegments(cur);
     if (outs.empty()) break;
     const int token = static_cast<int>(cur);
-    if (memo_ != nullptr) {
-      key = nn::infer::MixKey(key, static_cast<uint64_t>(token));
-      nn::Tensor* lt = arena_.Acquire(kLogits, {1, nmax_});
-      if (!memo_->Lookup(key, memo_epoch_, lt->data(), BatchStatePtrs(0))) {
-        StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
-        memo_->Insert(key, memo_epoch_, arena_.Get(kLogits)->data(),
-                      BatchStatePtrs(0));
-      } else {
-        // The hit replayed float state directly into the state slots, so
-        // the double mirrors are stale; re-convert the one live row.
-        for (int l = 0; l < gru_.num_layers(); ++l) {
-          nn::infer::ToDouble(StateSlot(l)->data(),
-                              dstate_[static_cast<size_t>(l)].data(),
-                              gru_.hidden_dim);
-        }
-      }
-    } else {
-      StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
-    }
+    StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);
     const float* lv = arena_.Get(kLogits)->data();
     int best = -1;
     if (config_.map_prediction) {
@@ -348,8 +269,6 @@ void InferenceSession::CopyHyp(const Hyp& src, Hyp* dst) {
   dst->log_prob = src.log_prob;
   dst->done = src.done;
   dst->src_row = src.src_row;
-  dst->hit_src = src.hit_src;
-  dst->key = src.key;
 }
 
 traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
@@ -429,18 +348,11 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
   EnsureQueryBeams(count);
   EnsureStepScratch(q_count * width);
   EnsureGatherScratch(q_count * width);
-  // Beam state row for (query q, beam i) is q*width + i, in the gather
-  // slots and (when memoizing) in the hit staging slots alike.
+  // Beam state row for (query q, beam i) is q*width + i in the gather slots.
   for (int l = 0; l < gru_.num_layers(); ++l) {
     arena_.Acquire(GatherSlotIndex(l), {q_count * width, hd})->Fill(0.0f);
     std::fill_n(dgather_[static_cast<size_t>(l)].data(),
                 static_cast<size_t>(q_count * width * hd), 0.0);
-  }
-  if (memo_ != nullptr) {
-    arena_.Acquire(kHitLogits, {q_count * width, nmax_});
-    for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(HitSlotIndex(l), {q_count * width, hd});
-    }
   }
   for (int64_t q = 0; q < q_count; ++q) {
     QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
@@ -450,8 +362,6 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
     root.log_prob = 0.0;
     root.done = false;
     root.src_row = -1;
-    root.hit_src = -1;
-    if (memo_ != nullptr) root.key = ctx_keys_[static_cast<size_t>(q)];
     qb.num_beams = 1;
     qb.finished = false;
     qb.watch.Reset();
@@ -459,32 +369,20 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
 
   int64_t live = q_count;
   for (int step = 0; step < config_.max_route_steps && live > 0; ++step) {
-    // Pass 1: probe the memo per expandable hypothesis, then one padded GRU
-    // step over the misses of every live query; row_ctx_ routes each row to
-    // its query's context biases (row-local kernels make this bitwise
-    // identical to stepping each hypothesis alone).
+    // Pass 1: one padded GRU step over the expandable hypotheses of every
+    // live query; row_ctx_ routes each row to its query's context biases
+    // (row-local kernels make this bitwise identical to stepping each
+    // hypothesis alone).
     tokens_.clear();
     row_ctx_.clear();
     for (int64_t q = 0; q < q_count; ++q) {
       QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
       if (qb.finished) continue;
       qb.active_row.assign(static_cast<size_t>(qb.num_beams), -1);
-      qb.hit_row.assign(static_cast<size_t>(qb.num_beams), -1);
       for (int i = 0; i < qb.num_beams; ++i) {
         const Hyp& b = qb.beams[static_cast<size_t>(i)];
         if (b.done) continue;
         if (net_.OutSegments(b.route.back()).empty()) continue;
-        if (memo_ != nullptr) {
-          const nn::infer::MemoKey sk = nn::infer::MixKey(
-              b.key, static_cast<uint64_t>(b.route.back()));
-          const int64_t hr = q * width + i;
-          if (memo_->Lookup(sk, memo_epoch_,
-                            arena_.Get(kHitLogits)->data() + hr * nmax_,
-                            HitStatePtrs(hr))) {
-            qb.hit_row[static_cast<size_t>(i)] = static_cast<int>(hr);
-            continue;
-          }
-        }
         qb.active_row[static_cast<size_t>(i)] =
             static_cast<int>(tokens_.size());
         tokens_.push_back(static_cast<int>(b.route.back()));
@@ -513,27 +411,8 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
       }
       StepBatch(tokens_.data(), row_ctx_.data(), active,
                 /*want_logits=*/true);
-      if (memo_ != nullptr) {
-        for (int64_t q = 0; q < q_count; ++q) {
-          const QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
-          if (qb.finished) continue;
-          for (int i = 0; i < qb.num_beams; ++i) {
-            const int a = qb.active_row[static_cast<size_t>(i)];
-            if (a < 0) continue;
-            const Hyp& b = qb.beams[static_cast<size_t>(i)];
-            memo_->Insert(
-                nn::infer::MixKey(b.key,
-                                  static_cast<uint64_t>(b.route.back())),
-                memo_epoch_,
-                arena_.Get(kLogits)->data() + static_cast<int64_t>(a) * nmax_,
-                BatchStatePtrs(a));
-          }
-        }
-      }
     }
     const float* logits = active > 0 ? arena_.Get(kLogits)->data() : nullptr;
-    const float* hit_logits =
-        memo_ != nullptr ? arena_.Get(kHitLogits)->data() : nullptr;
 
     // Pass 2: per-query expansion, keep, and termination. Expansion runs in
     // beam order, so the ShouldStop rng call order matches the reference
@@ -548,7 +427,6 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
         Hyp& beam = qb.beams[static_cast<size_t>(i)];
         if (beam.done) {
           beam.src_row = -1;
-          beam.hit_src = -1;
           CopyHyp(beam, &qb.pool[qb.pool_size++]);
           continue;
         }
@@ -557,16 +435,12 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
         if (outs.empty()) {
           beam.done = true;
           beam.src_row = -1;
-          beam.hit_src = -1;
           CopyHyp(beam, &qb.pool[qb.pool_size++]);
           continue;
         }
         q_any_active = true;
         const int a = qb.active_row[static_cast<size_t>(i)];
-        const int hr = qb.hit_row[static_cast<size_t>(i)];
-        const float* lrow =
-            hr >= 0 ? hit_logits + static_cast<int64_t>(hr) * nmax_
-                    : logits + static_cast<int64_t>(a) * nmax_;
+        const float* lrow = logits + static_cast<int64_t>(a) * nmax_;
         const int deg = static_cast<int>(outs.size());
         ranked_.clear();
         for (int s = 0; s < deg; ++s) {
@@ -576,7 +450,6 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
         if (ranked_.empty()) {  // boxed in: terminate this hypothesis
           beam.done = true;
           beam.src_row = -1;
-          beam.hit_src = -1;
           CopyHyp(beam, &qb.pool[qb.pool_size++]);
           continue;
         }
@@ -587,10 +460,6 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
           Hyp& nxt = qb.pool[qb.pool_size++];
           CopyHyp(beam, &nxt);
           nxt.src_row = a;
-          nxt.hit_src = hr;
-          if (memo_ != nullptr) {
-            nxt.key = nn::infer::MixKey(beam.key, static_cast<uint64_t>(cur));
-          }
           nxt.log_prob += ranked_[static_cast<size_t>(e)].first;
           const SegmentId seg = outs[static_cast<size_t>(
               ranked_[static_cast<size_t>(e)].second)];
@@ -623,18 +492,6 @@ void InferenceSession::BeamSearch(PredictItem* items, size_t count,
                             static_cast<int64_t>(src.src_row) * hd,
                         hd, dgather_[static_cast<size_t>(l)].data() +
                                 (q * width + w) * hd);
-          }
-        } else if (src.hit_src >= 0) {
-          // Memo-hit row: only float state exists; convert it for the mirror.
-          for (int l = 0; l < gru_.num_layers(); ++l) {
-            const float* hs = HitSlot(l)->data() +
-                              static_cast<int64_t>(src.hit_src) * hd;
-            std::copy_n(hs, hd,
-                        GatherSlot(l)->data() + (q * width + w) * hd);
-            nn::infer::ToDouble(hs,
-                                dgather_[static_cast<size_t>(l)].data() +
-                                    (q * width + w) * hd,
-                                hd);
           }
         }
       }
@@ -849,9 +706,6 @@ void InferenceSession::TopSlotsAlongRoute(const PredictionContext& ctx,
   const PredictionContext* one = &ctx;
   PrepareContexts(&one, 1);
   ResetState(1);
-  // Teacher-forced and deliberately uncached: the accuracy-parity harness
-  // compares the raw kernels of each packed precision, so memo hits (which
-  // replay whatever precision first filled the cache) must not leak in.
   for (size_t t = 0; t + 1 < route.size(); ++t) {
     const int token = static_cast<int>(route[t]);
     StepBatch(&token, &kQuery0, 1, /*want_logits=*/true);

@@ -8,7 +8,6 @@
 
 #include "core/deepst_model.h"
 #include "nn/infer/forward.h"
-#include "nn/infer/memo.h"
 #include "util/stopwatch.h"
 
 namespace deepst {
@@ -66,12 +65,9 @@ struct SharedInferWeights {
 // collapse into one per-query logit bias row.
 //
 // The per-step GEMV weights are packed once per model at
-// config.infer_precision (double/bf16/int8) and shared across the pool, and
-// the prediction paths sit behind the model's TransitionMemoCache, a
-// (context, token-prefix) keyed cache of post-step logits + hidden state. A
-// hit replays kernel outputs bitwise (asserted in quant_test), so
-// memoization changes speed, never results; bf16/int8 change results within
-// the gated accuracy tolerance (docs/inference.md).
+// config.infer_precision (double/bf16/int8) and shared across the pool;
+// bf16/int8 change results within the gated accuracy tolerance
+// (docs/inference.md).
 class InferenceSession {
  public:
   explicit InferenceSession(const DeepSTModel* model);
@@ -124,7 +120,7 @@ class InferenceSession {
   // Teacher-forced top-1 slots: feeds route[0..t] and appends the argmax
   // valid next-segment slot at each of the route.size()-1 transitions. The
   // precision accuracy-parity harness compares these across packed weight
-  // precisions; runs uncached so each precision is measured on raw kernels.
+  // precisions.
   void TopSlotsAlongRoute(const PredictionContext& ctx,
                           const traj::Route& route, std::vector<int>* slots);
 
@@ -146,22 +142,17 @@ class InferenceSession {
     kGi,            // [B, 3H]
     kGh,            // [B, 3H]
     kLogits,        // [B, N_max]
-    kHitLogits,     // [Q * width, N_max] memo-hit staging (beam loop)
-    kPerLayer,      // first of 3 slots per GRU layer: state, gather, hit
+    kPerLayer,      // first of 2 slots per GRU layer: state, gather
   };
-  int StateSlotIndex(int layer) const { return kPerLayer + 3 * layer; }
-  int GatherSlotIndex(int layer) const { return kPerLayer + 3 * layer + 1; }
-  int HitSlotIndex(int layer) const { return kPerLayer + 3 * layer + 2; }
+  int StateSlotIndex(int layer) const { return kPerLayer + 2 * layer; }
+  int GatherSlotIndex(int layer) const { return kPerLayer + 2 * layer + 1; }
   nn::Tensor* StateSlot(int layer) { return arena_.Get(StateSlotIndex(layer)); }
   nn::Tensor* GatherSlot(int layer) {
     return arena_.Get(GatherSlotIndex(layer));
   }
-  // Memo-hit staging rows: a probe that hits writes the cached post-step
-  // state here (row-indexed like GatherSlot), bypassing StepBatch entirely.
-  nn::Tensor* HitSlot(int layer) { return arena_.Get(HitSlotIndex(layer)); }
 
   // Folds context q into row q of kCtxIh ([Q, 3H]) and kLogitBias
-  // ([Q, N_max]), and pins the memo epoch plus per-query signatures.
+  // ([Q, N_max]).
   void PrepareContexts(const PredictionContext* const* ctxs, int64_t count);
   // Re-shapes the per-layer state slots to [batch, H] and zero-fills them
   // (float slots and their double mirrors alike).
@@ -185,10 +176,6 @@ class InferenceSession {
     double log_prob = 0.0;
     bool done = false;
     int src_row = -1;  // row in the stepped batch this hyp's state lives in
-    int hit_src = -1;  // memo-hit staging row when the step was cached
-    // Memo key of this hypothesis: ctx signature mixed with every token fed
-    // so far (i.e. the full route); identifies the post-step logits/state.
-    nn::infer::MemoKey key;
 
     double Score() const;
   };
@@ -209,7 +196,6 @@ class InferenceSession {
     size_t pool_size = 0;
     std::vector<int> pool_order;  // sort permutation over pool
     std::vector<int> active_row;  // beam index -> batch row or -1
-    std::vector<int> hit_row;     // beam index -> memo staging row or -1
     int num_beams = 0;
     bool finished = false;
     util::Stopwatch watch;  // per-item deadline budget
@@ -221,15 +207,6 @@ class InferenceSession {
   // The lock-step beam loop behind PredictRouteBeam and
   // PredictRoutesBeamMulti.
   void BeamSearch(PredictItem* items, size_t count, util::Rng* rng);
-
-  // -- Memoization plumbing (memo_ == nullptr disables everything) -----------
-  // Context signature: hash of the exact context tensor bytes (so a traffic
-  // or destination change produces disjoint keys by construction).
-  nn::infer::MemoKey ContextKey(const PredictionContext& ctx) const;
-  // Layer-state pointer scratch for memo Lookup/Insert: points state_ptrs_
-  // at row `row` of every layer's HitSlot / StateSlot.
-  float* const* HitStatePtrs(int64_t row);
-  float* const* BatchStatePtrs(int64_t row);
 
   const DeepSTModel* model_;
   const roadnet::RoadNetwork& net_;
@@ -243,13 +220,6 @@ class InferenceSession {
   const nn::Tensor* alpha_b_;                // [N_max]
   int64_t emb_dim_;
   int64_t nmax_;
-  // Shared transition memo cache (null = disabled). The epoch is pinned per
-  // call in PrepareContexts, so a wholesale invalidation mid-query keeps
-  // this query's view self-consistent and its insertions dead on arrival.
-  nn::infer::TransitionMemoCache* memo_;
-  uint64_t memo_epoch_ = 0;
-  std::vector<nn::infer::MemoKey> ctx_keys_;  // per-query signatures
-  std::vector<float*> state_ptrs_;            // [layers] pointer scratch
 
   nn::infer::Arena arena_;
   // Double-precision activation scratch fed to the GEMV kernels: gathered

@@ -43,7 +43,7 @@ util::StatusOr<MatchResult> HmmMapMatcher::Match(
     }
   }
 
-  auto emission = [&](size_t i, const SegmentCandidate& c) {
+  auto emission = [&](const SegmentCandidate& c) {
     const double d = c.projection.distance / config_.sigma_gps_m;
     return -0.5 * d * d;
   };
@@ -55,7 +55,7 @@ util::StatusOr<MatchResult> HmmMapMatcher::Match(
   dp[0].resize(candidates[0].size());
   back[0].assign(candidates[0].size(), -1);
   for (size_t c = 0; c < candidates[0].size(); ++c) {
-    dp[0][c] = emission(0, candidates[0][c]);
+    dp[0][c] = emission(candidates[0][c]);
   }
   for (size_t i = 1; i < n; ++i) {
     dp[i].assign(candidates[i].size(), kNegInf);
@@ -89,7 +89,7 @@ util::StatusOr<MatchResult> HmmMapMatcher::Match(
         }
         const double trans =
             -std::fabs(route_dist - straight) / config_.beta_m;
-        const double score = dp[i - 1][a] + trans + emission(i, cb);
+        const double score = dp[i - 1][a] + trans + emission(cb);
         if (score > dp[i][b]) {
           dp[i][b] = score;
           back[i][b] = static_cast<int>(a);
@@ -110,7 +110,7 @@ util::StatusOr<MatchResult> HmmMapMatcher::Match(
       constexpr double kBreakPenalty = -50.0;
       for (size_t b = 0; b < candidates[i].size(); ++b) {
         dp[i][b] = dp[i - 1][best_prev] + kBreakPenalty +
-                   emission(i, candidates[i][b]);
+                   emission(candidates[i][b]);
         back[i][b] = static_cast<int>(best_prev);
       }
     }

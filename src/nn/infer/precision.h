@@ -11,8 +11,7 @@ namespace infer {
 // fast path (nn/infer/forward.h). Weights are always float32 on disk and in
 // the autodiff graph; the inference engine re-packs them once per model:
 //
-//   kDouble -- exact widening to double (the PR 3 baseline; bitwise
-//              reference for the memoization layer).
+//   kDouble -- exact widening to double (the PR 3 baseline).
 //   kBf16   -- bfloat16 (top 16 bits of the float, round-to-nearest-even):
 //              half the weight bytes, ~3 decimal digits of mantissa.
 //   kInt8   -- 8-bit affine quantization with a per-row scale/zero-point:

@@ -90,16 +90,10 @@ struct MetricsSnapshot {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
 
-  // Transition-memo cache counters, sampled from the model's shared
-  // TransitionMemoCache at snapshot time (Server::snapshot) rather than
-  // accumulated here. Invariant at quiescence: hits + misses == lookups.
+  // Always 0; see DeepSTModel::transition_memo_stats.
   int64_t cache_lookups = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
-  int64_t cache_insertions = 0;
-  int64_t cache_invalidations = 0;
-  int64_t cache_epoch = 0;
-  int64_t cache_capacity = 0;  // 0 = memoization disabled
 
   // Live traffic pipeline counters, sampled from the SnapshotStore at
   // snapshot time (zeros when serving a static snapshot). Invariants at
@@ -119,8 +113,7 @@ struct MetricsSnapshot {
   int64_t traffic_pinned_high_water = 0;
 
   // One-line JSON object (stable key order) for the stats command and logs.
-  // Cache counters nest under a "cache" object, live-traffic counters under
-  // a "traffic" object.
+  // Live-traffic counters nest under a "traffic" object.
   std::string ToJson() const;
 };
 

@@ -21,17 +21,6 @@ Server::~Server() { Shutdown(); }
 
 MetricsSnapshot Server::snapshot() const {
   MetricsSnapshot s = Snapshot(metrics_);
-  const core::DeepSTModel* model = context_->model();
-  if (model != nullptr) {
-    const nn::infer::MemoStats ms = model->transition_memo_stats();
-    s.cache_lookups = ms.lookups;
-    s.cache_hits = ms.hits;
-    s.cache_misses = ms.misses;
-    s.cache_insertions = ms.insertions;
-    s.cache_invalidations = ms.invalidations;
-    s.cache_epoch = static_cast<int64_t>(ms.epoch);
-    s.cache_capacity = ms.capacity;
-  }
   traffic::SnapshotStore* store = context_->snapshot_store();
   if (store != nullptr) {
     const traffic::SnapshotStoreStats ts = store->stats();

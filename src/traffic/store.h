@@ -113,9 +113,8 @@ class SnapshotStore {
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  // Invoked after every publish (the serve daemon bumps the model's
-  // TransitionMemoCache epoch here, so memoized logits never cross a
-  // snapshot boundary). Set before Start / the first swap.
+  // Invoked after every publish with the new generation. Set before Start /
+  // the first swap.
   void set_on_swap(std::function<void(uint64_t generation)> fn) {
     on_swap_ = std::move(fn);
   }

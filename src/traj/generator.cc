@@ -146,7 +146,6 @@ GpsTrajectory TripGenerator::SimulateGps(const Route& route,
   }
   // Final point at the route end.
   if (!route.empty()) {
-    const auto& seg = net_.segment(route.back());
     geo::Point p = net_.polyline(route.back()).back() +
                    geo::Point{rng->Gaussian(0.0, config_.gps_noise_m),
                               rng->Gaussian(0.0, config_.gps_noise_m)};

@@ -2,7 +2,6 @@
 #define DEEPST_UTIL_SPAN_H_
 
 #include <cstddef>
-#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -21,9 +20,6 @@ class Span {
   // Implicit, so existing vector-producing code keeps working at call sites
   // that accept a Span.
   Span(const std::vector<T>& v) : data_(v.data()), size_(v.size()) {}
-  // For literal arguments at call sites (the list only lives to the end of
-  // the full expression -- never store a Span built from one).
-  Span(std::initializer_list<T> il) : data_(il.begin()), size_(il.size()) {}
 
   const T* data() const { return data_; }
   size_t size() const { return size_; }

@@ -37,7 +37,9 @@ TEST(MarkovRouterTest, TransitionProbsNormalized) {
       EXPECT_GT(p, 0.0);  // add-one smoothing
       total += p;
     }
-    if (world.net().OutDegree(s) > 0) EXPECT_NEAR(total, 1.0, 1e-9);
+    if (world.net().OutDegree(s) > 0) {
+      EXPECT_NEAR(total, 1.0, 1e-9);
+    }
   }
   // Non-adjacent transition has probability zero.
   EXPECT_DOUBLE_EQ(mmi.TransitionProb(0, 0), 0.0);

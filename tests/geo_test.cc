@@ -58,7 +58,8 @@ TEST(LocalProjectionTest, DistancesMatchHaversine) {
 TEST(PolylineTest, Length) {
   std::vector<Point> pts = {{0, 0}, {3, 0}, {3, 4}};
   EXPECT_DOUBLE_EQ(PolylineLength(pts), 7.0);
-  EXPECT_DOUBLE_EQ(PolylineLength({{1, 1}}), 0.0);
+  const std::vector<Point> single = {{1, 1}};
+  EXPECT_DOUBLE_EQ(PolylineLength(single), 0.0);
 }
 
 TEST(PolylineTest, ProjectOntoSegmentClamps) {

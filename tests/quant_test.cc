@@ -1,14 +1,12 @@
-// Coverage of the quantized inference kernels and the transition memo
-// (fast path round two): packing round-trips, GEMV parity against the
-// dequantized reference, batch-composition invariance, end-to-end accuracy
-// parity of the reduced precisions against the double path, bitwise memo
-// parity across greedy/beam/multi entry points, epoch invalidation on
-// weight swaps, and exact concurrent hit accounting.
+// Coverage of the quantized inference kernels (fast path round two):
+// packing round-trips, GEMV parity against the dequantized reference,
+// batch-composition invariance, end-to-end accuracy parity of the reduced
+// precisions against the double path, shared packed weights, and in-place
+// weight swaps through RetirePooledSessions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "baselines/neural_router.h"
@@ -17,7 +15,6 @@
 #include "eval/world.h"
 #include "nn/backend.h"
 #include "nn/infer/forward.h"
-#include "nn/infer/memo.h"
 #include "nn/serialize.h"
 #include "util/rng.h"
 
@@ -25,11 +22,8 @@ namespace deepst {
 namespace core {
 namespace {
 
-using nn::infer::MemoKey;
-using nn::infer::MixKey;
 using nn::infer::PackedMatrix;
 using nn::infer::Precision;
-using nn::infer::TransitionMemoCache;
 
 eval::World& TestWorld() {
   static eval::World* world = [] {
@@ -60,8 +54,8 @@ DeepSTConfig SmallConfig() {
 }
 
 // Base test config: DeepST-C (no traffic dependency, deterministic MAP
-// beam) at the default memo capacity and double precision.
-DeepSTConfig MemoConfig() { return baselines::DeepStCConfigOf(SmallConfig()); }
+// beam) at double precision.
+DeepSTConfig BaseConfig() { return baselines::DeepStCConfigOf(SmallConfig()); }
 
 std::vector<const traj::TripRecord*> TestTrips(int n) {
   std::vector<const traj::TripRecord*> out;
@@ -390,7 +384,7 @@ TEST(PrecisionParityTest, ReducedPrecisionTracksDouble) {
   auto& world = TestWorld();
   const auto trips = TestTrips(6);
   ASSERT_GE(trips.size(), 3u);
-  DeepSTConfig base = MemoConfig();
+  DeepSTConfig base = BaseConfig();
   DeepSTModel ref(world.net(), base, nullptr);
   const std::vector<nn::NamedTensor> snapshot = nn::SnapshotParameters(ref);
 
@@ -439,7 +433,7 @@ TEST(PrecisionParityTest, ReducedPrecisionTracksDouble) {
 // identity) across calls; packed_weight_bytes reflects the precision.
 TEST(SharedWeightsTest, PackedOncePerGenerationAndShrinkWithPrecision) {
   auto& world = TestWorld();
-  DeepSTConfig base = MemoConfig();
+  DeepSTConfig base = BaseConfig();
   DeepSTModel model(world.net(), base, nullptr);
   const auto first = model.shared_infer_weights();
   ASSERT_NE(first, nullptr);
@@ -467,211 +461,17 @@ TEST(SharedWeightsTest, PackedOncePerGenerationAndShrinkWithPrecision) {
   EXPECT_LT(bytes[2], bytes[1]);  // int8 < bf16
 }
 
-// -- Transition memo -----------------------------------------------------------
-
-TEST(MemoCacheTest, InsertLookupRoundTripIsExact) {
-  const int64_t logits_len = 11, hd = 5;
-  const int layers = 2;
-  TransitionMemoCache cache(logits_len, layers, hd, 64);
-  util::Rng rng(8);
-  std::vector<float> logits(static_cast<size_t>(logits_len));
-  for (auto& v : logits) v = static_cast<float>(rng.Uniform(-9.0, 9.0));
-  std::vector<float> s0(static_cast<size_t>(hd)), s1(static_cast<size_t>(hd));
-  for (auto& v : s0) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  for (auto& v : s1) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  const float* states[] = {s0.data(), s1.data()};
-
-  const MemoKey key = MixKey(MemoKey{1, 2}, 42);
-  const uint64_t epoch = cache.current_epoch();
-  std::vector<float> lo(static_cast<size_t>(logits_len));
-  std::vector<float> o0(static_cast<size_t>(hd)), o1(static_cast<size_t>(hd));
-  float* outs[] = {o0.data(), o1.data()};
-  EXPECT_FALSE(cache.Lookup(key, epoch, lo.data(), outs));
-  cache.Insert(key, epoch, logits.data(), states);
-  ASSERT_TRUE(cache.Lookup(key, epoch, lo.data(), outs));
-  EXPECT_EQ(std::memcmp(lo.data(), logits.data(),
-                        logits.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(o0.data(), s0.data(), s0.size() * sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(o1.data(), s1.data(), s1.size() * sizeof(float)), 0);
-
-  const auto st = cache.stats();
-  EXPECT_EQ(st.lookups, 2);
-  EXPECT_EQ(st.hits, 1);
-  EXPECT_EQ(st.misses, 1);
-  EXPECT_EQ(st.insertions, 1);
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-}
-
-TEST(MemoCacheTest, StaleEpochIsNeverServed) {
-  TransitionMemoCache cache(4, 1, 3, 16);
-  const float logits[4] = {1, 2, 3, 4};
-  const float state[3] = {5, 6, 7};
-  const float* states[] = {state};
-  const MemoKey key{7, 9};
-  const uint64_t old_epoch = cache.current_epoch();
-  cache.Insert(key, old_epoch, logits, states);
-  cache.Invalidate();
-  float lo[4];
-  float so[3];
-  float* outs[] = {so};
-  // Neither the new epoch nor the pinned old epoch may see... the old
-  // epoch still may: an in-flight query that pinned before the swap keeps
-  // its self-consistent view.
-  EXPECT_FALSE(cache.Lookup(key, cache.current_epoch(), lo, outs));
-  EXPECT_TRUE(cache.Lookup(key, old_epoch, lo, outs));
-  // An insert under the current epoch replaces the stale entry for good.
-  cache.Insert(key, cache.current_epoch(), logits, states);
-  EXPECT_TRUE(cache.Lookup(key, cache.current_epoch(), lo, outs));
-  EXPECT_FALSE(cache.Lookup(key, old_epoch, lo, outs));
-  const auto st = cache.stats();
-  EXPECT_EQ(st.invalidations, 1);
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-}
-
-TEST(MemoCacheTest, EvictionKeepsServingCorrectValues) {
-  // Tiny cache, many distinct keys: every hit must still return the value
-  // inserted under that exact key.
-  const int64_t logits_len = 3;
-  TransitionMemoCache cache(logits_len, 1, 2, 8);
-  const uint64_t epoch = cache.current_epoch();
-  float state[2] = {0, 0};
-  const float* states[] = {state};
-  float lo[3];
-  float so[2];
-  float* outs[] = {so};
-  for (int round = 0; round < 3; ++round) {
-    for (uint64_t i = 0; i < 64; ++i) {
-      const MemoKey key = MixKey(MemoKey{}, i);
-      const float logits[3] = {static_cast<float>(i), 0.5f,
-                               static_cast<float>(i) * 2.0f};
-      if (cache.Lookup(key, epoch, lo, outs)) {
-        EXPECT_EQ(lo[0], logits[0]);
-        EXPECT_EQ(lo[2], logits[2]);
-      } else {
-        state[0] = static_cast<float>(i);
-        cache.Insert(key, epoch, logits, states);
-        // Immediate re-lookup must hit (nothing else inserted in between)
-        // and return the just-inserted values. (Cycling the full 64-key
-        // working set sequentially through a 16-entry 2-way LRU gives zero
-        // cross-round hits by design — classic LRU thrash — so this is
-        // where the hit path gets exercised.)
-        ASSERT_TRUE(cache.Lookup(key, epoch, lo, outs));
-        EXPECT_EQ(lo[0], logits[0]);
-        EXPECT_EQ(so[0], state[0]);
-      }
-    }
-  }
-  const auto st = cache.stats();
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-  EXPECT_EQ(st.insertions, st.misses);
-  EXPECT_GT(st.hits, 0);
-}
-
-// Memoized prediction must be bitwise identical to the memo-off model, on
-// both cold and warm (cache-hit) calls, for greedy, beam, and the
-// cross-query batched entry point — at double and reduced precision.
-TEST(MemoParityTest, PredictionIsBitwiseIdenticalWithMemo) {
-  auto& world = TestWorld();
-  const auto trips = TestTrips(5);
-  DeepSTConfig base = MemoConfig();
-  DeepSTModel ref_model(world.net(), base, nullptr);
-  const std::vector<nn::NamedTensor> snapshot =
-      nn::SnapshotParameters(ref_model);
-
-  for (Precision prec : {Precision::kDouble, Precision::kBf16}) {
-    for (int beam_width : {1, base.beam_width}) {
-      DeepSTConfig off = base;
-      off.infer_precision = prec;
-      off.beam_width = beam_width;
-      off.memo_cache_capacity = 0;
-      DeepSTConfig on = off;
-      on.memo_cache_capacity = 4096;
-      auto m_off =
-          DeepSTModel::LoadFromParams(world.net(), off, nullptr, snapshot);
-      auto m_on =
-          DeepSTModel::LoadFromParams(world.net(), on, nullptr, snapshot);
-      ASSERT_TRUE(m_off.ok() && m_on.ok());
-      EXPECT_EQ(m_off.value()->transition_memo(), nullptr);
-      ASSERT_NE(m_on.value()->transition_memo(), nullptr);
-      util::Rng rng_a(41), rng_b(41);
-      for (const auto* rec : trips) {
-        const RouteQuery query = eval::QueryFor(rec->trip);
-        PredictionContext ctx_off =
-            m_off.value()->MakeContext(query, &rng_a);
-        PredictionContext ctx_on = m_on.value()->MakeContext(query, &rng_b);
-        util::Rng r1(1), r2(1), r3(1);
-        const traj::Route want =
-            m_off.value()->PredictRoute(ctx_off, query.origin, &r1);
-        // Cold pass fills the cache, warm pass replays it; both must equal
-        // the memo-off route exactly.
-        const traj::Route cold =
-            m_on.value()->PredictRoute(ctx_on, query.origin, &r2);
-        const traj::Route warm =
-            m_on.value()->PredictRoute(ctx_on, query.origin, &r3);
-        EXPECT_EQ(want, cold) << "prec=" << nn::infer::PrecisionName(prec)
-                              << " width=" << beam_width;
-        EXPECT_EQ(want, warm);
-      }
-      const auto st = m_on.value()->transition_memo_stats();
-      EXPECT_GT(st.lookups, 0);
-      EXPECT_GT(st.hits, 0);  // the warm passes must actually hit
-      EXPECT_EQ(st.hits + st.misses, st.lookups);
-    }
-  }
-}
-
-TEST(MemoParityTest, MultiQueryBatchMatchesSingleQueryCalls) {
-  auto& world = TestWorld();
-  const auto trips = TestTrips(6);
-  ASSERT_GE(trips.size(), 4u);
-  DeepSTConfig cfg = MemoConfig();
-  DeepSTModel model(world.net(), cfg, nullptr);
-  ASSERT_NE(model.transition_memo(), nullptr);
-
-  util::Rng crng(51);
-  std::vector<PredictionContext> ctxs;
-  std::vector<RouteQuery> queries;
-  for (const auto* rec : trips) {
-    queries.push_back(eval::QueryFor(rec->trip));
-    ctxs.push_back(model.MakeContext(queries.back(), &crng));
-  }
-  // Singles first (filling the memo), then the coalesced batch (served
-  // partly from it), then singles again: all three must agree bitwise.
-  std::vector<traj::Route> singles;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    util::Rng r(2);
-    singles.push_back(
-        model.PredictRouteBeam(ctxs[i], queries[i].origin, &r));
-  }
-  std::vector<PredictItem> items(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    items[i].ctx = &ctxs[i];
-    items[i].origin = queries[i].origin;
-  }
-  model.PredictRoutesBeamMulti(&items);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(items[i].route, singles[i]) << "query " << i;
-    util::Rng r(2);
-    EXPECT_EQ(model.PredictRouteBeam(ctxs[i], queries[i].origin, &r),
-              singles[i]);
-  }
-  const auto st = model.transition_memo_stats();
-  EXPECT_GT(st.hits, 0);
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-}
-
 // After an in-place weight mutation plus RetirePooledSessions, predictions
-// must match a freshly built model with the mutated weights — a stale
-// cached distribution from the old weights must never be served.
-TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
+// and scores must match a freshly built model with the mutated weights: no
+// derived inference state (packed weights, pooled session scratch) from the
+// old weights may survive the retirement.
+TEST(RetireSessionsTest, InPlaceWeightSwapMatchesFreshModel) {
   auto& world = TestWorld();
   const auto trips = TestTrips(4);
-  DeepSTConfig cfg = MemoConfig();
+  DeepSTConfig cfg = BaseConfig();
   DeepSTModel model(world.net(), cfg, nullptr);
-  ASSERT_NE(model.transition_memo(), nullptr);
 
-  // Warm the cache under the original weights.
+  // Warm the session pool and packed weights under the original weights.
   util::Rng crng(61);
   for (const auto* rec : trips) {
     const RouteQuery query = eval::QueryFor(rec->trip);
@@ -679,12 +479,10 @@ TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
     util::Rng r(3);
     (void)model.PredictRouteBeam(ctx, query.origin, &r);
   }
-  const auto before = model.transition_memo_stats();
-  EXPECT_GT(before.insertions, 0);
 
   // Mutate the logit head in place (scale by -0.5 so argmax decisions
-  // actually change), then retire the pool — the documented contract for
-  // in-place weight swaps, which also bumps the memo epoch.
+  // actually change), then retire the pool -- the documented contract for
+  // in-place weight swaps.
   for (const auto& p : model.Parameters()) {
     if (p.name == "alpha/weight") {
       nn::Tensor& t = p.var->value();
@@ -692,9 +490,6 @@ TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
     }
   }
   model.RetirePooledSessions();
-  EXPECT_GT(model.transition_memo_stats().invalidations,
-            before.invalidations);
-  EXPECT_GT(model.transition_memo_stats().epoch, before.epoch);
 
   // A fresh model built from the mutated weights is the ground truth.
   const std::vector<nn::NamedTensor> snapshot = nn::SnapshotParameters(model);
@@ -712,55 +507,6 @@ TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
     EXPECT_EQ(model.ScoreRoute(ctx_m, rec->trip.route),
               fresh.value()->ScoreRoute(ctx_f, rec->trip.route));
   }
-}
-
-// Concurrent pool traffic: counters must stay exact (hits + misses ==
-// lookups, insertions == misses at quiescence) and every thread must see
-// the same bitwise routes.
-TEST(MemoConcurrencyTest, HitAccountingIsExactUnderConcurrency) {
-  auto& world = TestWorld();
-  const auto trips = TestTrips(4);
-  ASSERT_GE(trips.size(), 2u);
-  DeepSTConfig cfg = MemoConfig();
-  DeepSTModel model(world.net(), cfg, nullptr);
-  ASSERT_NE(model.transition_memo(), nullptr);
-
-  util::Rng crng(71);
-  std::vector<PredictionContext> ctxs;
-  std::vector<RouteQuery> queries;
-  std::vector<traj::Route> want;
-  for (const auto* rec : trips) {
-    queries.push_back(eval::QueryFor(rec->trip));
-    ctxs.push_back(model.MakeContext(queries.back(), &crng));
-    util::Rng r(5);
-    want.push_back(
-        model.PredictRouteBeam(ctxs.back(), queries.back().origin, &r));
-  }
-
-  constexpr int kThreads = 4;
-  constexpr int kReps = 6;
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int rep = 0; rep < kReps; ++rep) {
-        for (size_t q = 0; q < queries.size(); ++q) {
-          util::Rng r(5);
-          const traj::Route got =
-              model.PredictRouteBeam(ctxs[q], queries[q].origin, &r);
-          if (got != want[q]) ++mismatches[static_cast<size_t>(t)];
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
-  const auto st = model.transition_memo_stats();
-  EXPECT_GT(st.lookups, 0);
-  EXPECT_GT(st.hits, 0);
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-  EXPECT_EQ(st.insertions, st.misses);
-  EXPECT_EQ(model.outstanding_session_leases(), 0);
 }
 
 }  // namespace

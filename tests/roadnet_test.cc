@@ -188,7 +188,9 @@ TEST(KShortestPathsTest, OrderedByCostAndDistinct) {
     EXPECT_TRUE(net->ValidateRoute(paths[i].path).ok());
     EXPECT_EQ(paths[i].path.front(), src);
     EXPECT_EQ(paths[i].path.back(), tgt);
-    if (i > 0) EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    }
     // Loopless: no repeated segments.
     std::set<SegmentId> segs(paths[i].path.begin(), paths[i].path.end());
     EXPECT_EQ(segs.size(), paths[i].path.size());

@@ -651,24 +651,19 @@ TEST_F(StreamingTest, ServingPinsGenerationAndStampsResults) {
   EXPECT_EQ(serving.stats().queries, 4);
 }
 
-TEST_F(StreamingTest, MemoEpochBumpsOnSwapAndResultsStayBitwise) {
+TEST_F(StreamingTest, SwapOutsideQueryWindowKeepsResultsBitwise) {
   auto store = SeededStore();
-  core::DeepSTModel& model = TestModel();
-  store->set_on_swap(
-      [&model](uint64_t) { model.InvalidateTransitionCache(); });
-  core::ServingContext serving(&model, &TestWorld().index(), {}, store.get());
+  core::ServingContext serving(&TestModel(), &TestWorld().index(), {},
+                               store.get());
   const core::RouteQuery query = eval::QueryFor(CoveredTrip().trip);
 
   auto before = serving.Predict(query);
   ASSERT_TRUE(before.ok());
-  const auto epoch_before = model.transition_memo_stats().epoch;
 
   // Rows far in the future: the snapshot changes generation but the query's
-  // slot window does not -- its answer must stay bitwise identical even
-  // though the memo epoch was bumped (stale hits can never serve).
+  // slot window does not -- its answer must stay bitwise identical.
   ASSERT_TRUE(store->Ingest(MakeRows(5, query.start_time_s + 900000.0)).ok());
   EXPECT_EQ(store->SwapNow(), 2u);
-  EXPECT_EQ(model.transition_memo_stats().epoch, epoch_before + 1);
 
   auto after = serving.Predict(query);
   ASSERT_TRUE(after.ok());
@@ -790,10 +785,8 @@ TEST_F(StreamingTest, OverlayNeverMasksDegradation) {
 // bit for bit, no matter when the swap landed relative to the query.
 TEST_F(StreamingTest, ConcurrentSwapsNeverTearAQuery) {
   auto store = SeededStore();
-  core::DeepSTModel& model = TestModel();
-  store->set_on_swap(
-      [&model](uint64_t) { model.InvalidateTransitionCache(); });
-  core::ServingContext serving(&model, &TestWorld().index(), {}, store.get());
+  core::ServingContext serving(&TestModel(), &TestWorld().index(), {},
+                               store.get());
   const core::RouteQuery query = eval::QueryFor(CoveredTrip().trip);
 
   constexpr int kReaders = 4;

@@ -3,8 +3,8 @@
 # data-parallel training engine's speedup + determinism.
 #
 #   tools/check_perf.sh [build-dir] [min-speedup] [min-train-speedup]
-#       [min-scale-speedup] [min-serve-speedup] [min-quant-speedup]
-#       [min-gemm-speedup] [max-ingest-p99-ratio]
+#       [min-scale-speedup] [min-serve-speedup] [min-gemm-speedup]
+#       [max-ingest-p99-ratio]
 #
 # Inference: builds bench_micro + inference_test, runs the inference sweep
 # (which writes <build-dir>/bench_out/BENCH_inference.json comparing the
@@ -42,18 +42,14 @@
 # max-ingest-p99-ratio (default 1.5) of the static 4-worker p99 — swaps
 # must never stall serving.
 #
-# Quantization + memoization: runs the quant sweep (BM_QuantSweep ->
-# BENCH_quant.json; bf16/int8 GEMV kernels and the transition memo against
-# the double fast path on a hot-query beam workload). Always asserts the
-# accuracy-parity floors (bf16 top-1 agreement >= 0.99 with mean
-# log-likelihood delta <= 1e-3 per transition; int8 >= 0.95 / <= 5e-3) and
-# a steady-state memo hit rate >= 0.5; on AVX2 hardware (where the vector
-# kernels actually dispatch) also asserts the memoized quantized variants
-# beat the unmemoized double fast path by min-quant-speedup (default 2.0).
+# Quantization: runs the quant sweep (BM_QuantSweep -> BENCH_quant.json;
+# bf16/int8 GEMV kernels against the double fast path on a beam workload)
+# and asserts the accuracy-parity floors (bf16 top-1 agreement >= 0.99 with
+# mean log-likelihood delta <= 1e-3 per transition; int8 >= 0.95 / <= 5e-3).
 #
 # GEMM blocking: runs the GEMM sweep (BM_GemmSweep -> BENCH_gemm.json; the
 # register-blocked panel kernels against the round-two chunk kernels, plus
-# the memo-cold batched beam workload with config.gemm_blocking off vs on).
+# the batched beam workload with config.gemm_blocking off vs on).
 # Always asserts every row's bitwise_equal field (the blocking must never
 # change a result, at any precision); on AVX2 hardware also asserts the
 # batched-beam double speedup is at least min-gemm-speedup (default 1.5).
@@ -68,9 +64,8 @@ MIN_SPEEDUP="${2:-3.0}"
 MIN_TRAIN_SPEEDUP="${3:-1.8}"
 MIN_SCALE_SPEEDUP="${4:-5.0}"
 MIN_SERVE_SPEEDUP="${5:-2.0}"
-MIN_QUANT_SPEEDUP="${6:-2.0}"
-MIN_GEMM_SPEEDUP="${7:-1.5}"
-MAX_INGEST_P99_RATIO="${8:-1.5}"
+MIN_GEMM_SPEEDUP="${6:-1.5}"
+MAX_INGEST_P99_RATIO="${7:-1.5}"
 readonly MAX_SCALE_STEP_RATIO=1.2
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
@@ -214,9 +209,9 @@ else
 fi
 
 # Live-ingest tail gate: snapshot swaps (clone + fold off-thread, atomic
-# publish, memo-epoch bump) must never stall the predict fleet. Like the
-# other concurrency gates, only meaningful where the fleet, the ingest
-# client, and the aggregator can actually run in parallel.
+# publish) must never stall the predict fleet. Like the other concurrency
+# gates, only meaningful where the fleet, the ingest client, and the
+# aggregator can actually run in parallel.
 p99_live=$(jq -r '.[] | select(.mode == "server_ingest") | .p99_ms' \
   "$SERVE_JSON")
 live_swaps=$(jq -r '.[] | select(.mode == "server_ingest") | .swaps' \
@@ -233,7 +228,7 @@ else
   echo "SKIP: live-ingest p99 gate (${cores} core(s) available; measured ${p99_live}ms vs static ${p99_4}ms, ${live_swaps} swaps)"
 fi
 
-echo "== quant sweep (bf16/int8 kernels + transition memo vs double) =="
+echo "== quant sweep (bf16/int8 kernels vs double) =="
 (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_QuantSweep')
 
 QUANT_JSON="$BUILD_DIR/bench_out/BENCH_quant.json"
@@ -245,7 +240,7 @@ QUANT_JSON="$BUILD_DIR/bench_out/BENCH_quant.json"
 # 1.00, deltas <= 1e-4 on the micro model) while catching packing or
 # kernel regressions an order of magnitude before they reach eval metrics.
 fail=0
-for spec in "bf16_memo 0.99 0.001" "int8_memo 0.95 0.005"; do
+for spec in "bf16 0.99 0.001" "int8 0.95 0.005"; do
   read -r variant min_top1 max_ce <<< "$spec"
   top1=$(jq -r --arg v "$variant" \
     '.[] | select(.variant == $v) | .top1_agreement' "$QUANT_JSON")
@@ -262,44 +257,6 @@ for spec in "bf16_memo 0.99 0.001" "int8_memo 0.95 0.005"; do
   fi
 done
 [[ "$fail" == 0 ]] || exit 1
-
-# The memo must actually be absorbing the hot-query workload; 0.5 is far
-# below the measured steady state (~0.99) but rules out a cache that
-# silently stopped hitting (bad keys, over-invalidation).
-hit=$(jq -r '.[] | select(.variant == "double_memo") | .steady_hit_rate' \
-  "$QUANT_JSON")
-ok=$(jq -n --argjson h "$hit" '$h >= 0.5')
-if [[ "$ok" != "true" ]]; then
-  echo "FAIL: transition memo steady-state hit rate ${hit} < 0.5" >&2
-  exit 1
-fi
-echo "OK: transition memo steady-state hit rate ${hit} >= 0.5"
-
-# Throughput gate: the memoized quantized fast path must beat the current
-# (unmemoized double) fast path. Vector-ISA-dependent, so like the other
-# hardware gates it reports instead of failing where the kernels cannot
-# dispatch past the scalar clone.
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  for variant in bf16_memo int8_memo; do
-    speedup=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-    ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_QUANT_SPEEDUP" \
-         '$s >= $min')
-    if [[ "$ok" != "true" ]]; then
-      echo "FAIL: $variant beam workload speedup ${speedup}x < ${MIN_QUANT_SPEEDUP}x" >&2
-      fail=1
-    else
-      echo "OK: $variant beam workload speedup ${speedup}x >= ${MIN_QUANT_SPEEDUP}x"
-    fi
-  done
-  [[ "$fail" == 0 ]] || exit 1
-else
-  for variant in bf16_memo int8_memo; do
-    speedup=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-    echo "SKIP: $variant speedup gate (no avx2; measured ${speedup}x)"
-  done
-fi
 
 echo "== gemm sweep (register-blocked kernels vs chunk, beam blocking off/on) =="
 (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_GemmSweep')
@@ -326,10 +283,10 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
   ok=$(jq -n --argjson s "$gemm_speedup" --argjson min "$MIN_GEMM_SPEEDUP" \
        '$s >= $min')
   if [[ "$ok" != "true" ]]; then
-    echo "FAIL: memo-cold batched beam speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x" >&2
+    echo "FAIL: batched beam speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x" >&2
     exit 1
   fi
-  echo "OK: memo-cold batched beam speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
+  echo "OK: batched beam speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
 else
   echo "SKIP: gemm speedup gate (no avx2; measured ${gemm_speedup}x)"
 fi
