@@ -88,33 +88,42 @@ struct LoadSample {
   int segments = 0;
 };
 
-// Best-of-`runs` cold load of `path` in child processes. One extra warm-up
-// child runs first and is discarded: it pays any one-time page-cache and
-// binary-load costs so the measured floor reflects the format, not the
-// machine's state. Best-of (not mean) because scheduler noise on a busy
-// box only ever adds time.
-LoadSample MeasureColdLoad(const std::string& exe, const std::string& path,
-                           int runs) {
-  LoadSample best;
-  best.load_s = 1e30;
+// One cold load of `path` in a child process.
+LoadSample LoadInChild(const std::string& exe, const std::string& path) {
+  const std::string cmd = exe + " --load-child " + path;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    std::fprintf(stderr, "popen failed for: %s\n", cmd.c_str());
+    std::exit(1);
+  }
+  char buf[256] = {0};
+  const char* got = std::fgets(buf, sizeof(buf), pipe);
+  const int rc = pclose(pipe);
+  LoadSample s;
+  if (got == nullptr || rc != 0 ||
+      std::sscanf(buf, "%lf %ld %d", &s.load_s, &s.rss_kb, &s.segments) != 3) {
+    std::fprintf(stderr, "child load failed (rc=%d): %s\n", rc, cmd.c_str());
+    std::exit(1);
+  }
+  return s;
+}
+
+// Best-of-`runs` cold loads of each path, children alternating between the
+// paths round by round so host drift lands on every format alike. One extra
+// warm-up round runs first and is discarded: it pays any one-time
+// page-cache and binary-load costs so the measured floor reflects the
+// format, not the machine's state. Best-of (not mean) because scheduler
+// noise on a busy box only ever adds time.
+std::vector<LoadSample> MeasureColdLoads(const std::string& exe,
+                                         const std::vector<std::string>& paths,
+                                         int runs) {
+  std::vector<LoadSample> best(paths.size());
+  for (LoadSample& b : best) b.load_s = 1e30;
   for (int i = -1; i < runs; ++i) {
-    const std::string cmd = exe + " --load-child " + path;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      std::fprintf(stderr, "popen failed for: %s\n", cmd.c_str());
-      std::exit(1);
+    for (size_t p = 0; p < paths.size(); ++p) {
+      const LoadSample s = LoadInChild(exe, paths[p]);
+      if (i >= 0 && s.load_s < best[p].load_s) best[p] = s;
     }
-    char buf[256] = {0};
-    const char* got = std::fgets(buf, sizeof(buf), pipe);
-    const int rc = pclose(pipe);
-    LoadSample s;
-    if (got == nullptr || rc != 0 ||
-        std::sscanf(buf, "%lf %ld %d", &s.load_s, &s.rss_kb, &s.segments) !=
-            3) {
-      std::fprintf(stderr, "child load failed (rc=%d): %s\n", rc, cmd.c_str());
-      std::exit(1);
-    }
-    if (i >= 0 && s.load_s < best.load_s) best = s;
   }
   return best;
 }
@@ -251,8 +260,10 @@ int main(int argc, char** argv) {
     predicts.back().net = std::move(net);
     PreparePredict(index, FastMode() ? 4 : 16, &predicts.back());
 
-    const LoadSample v2 = MeasureColdLoad(exe, v2_path, runs);
-    const LoadSample v3 = MeasureColdLoad(exe, v3_path, runs);
+    const std::vector<LoadSample> loads =
+        MeasureColdLoads(exe, {v2_path, v3_path}, runs);
+    const LoadSample& v2 = loads[0];
+    const LoadSample& v3 = loads[1];
     rows.push_back({v2.segments, "v2", v2.load_s, v2.rss_kb, 1.0});
     rows.push_back({v3.segments, "v3", v3.load_s, v3.rss_kb,
                     v3.load_s > 0.0 ? v2.load_s / v3.load_s : 0.0});

@@ -18,13 +18,26 @@ namespace core {
 namespace o = nn::ops;
 using roadnet::SegmentId;
 
+namespace {
+
+// Process-unique encoder tokens: a memo entry written under one model's
+// weights can never match another model's (or a later generation's) token,
+// even at a reused address.
+uint64_t NextEncoderToken() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 DeepSTModel::DeepSTModel(const roadnet::RoadNetwork& net,
                          const DeepSTConfig& config,
                          traffic::TrafficTensorCache* traffic_cache)
     : net_(net),
       config_(config),
       traffic_cache_(traffic_cache),
-      init_rng_(config.seed) {
+      init_rng_(config.seed),
+      encoder_token_(NextEncoderToken()) {
   DEEPST_CHECK(net.finalized());
   if (config.num_threads > 0) nn::SetBackendThreads(config.num_threads);
   util::Rng* rng = &init_rng_;
@@ -146,12 +159,14 @@ void DeepSTModel::RetirePooledSessions() {
   }
   // Retirement's contract is "derived inference state may be stale": drop
   // the packed weights so replacement sessions repack from the current
-  // float parameters. Sessions already leased out keep their (possibly
-  // stale) shared_ptr, finish self-consistently, and are dropped on release.
+  // float parameters, and re-draw the encoder token so memoized posteriors
+  // are re-encoded. Sessions already leased out keep their (possibly stale)
+  // shared_ptr, finish self-consistently, and are dropped on release.
   {
     std::lock_guard<std::mutex> lock(weights_mu_);
     shared_weights_.reset();
   }
+  encoder_token_.store(NextEncoderToken(), std::memory_order_release);
   // Session destructors run outside the lock.
 }
 
@@ -166,6 +181,13 @@ DeepSTModel::shared_infer_weights() const {
 
 int64_t DeepSTModel::outstanding_session_leases() const {
   return outstanding_leases_.load(std::memory_order_relaxed);
+}
+
+TrafficEncodeStats DeepSTModel::traffic_encode_stats() const {
+  TrafficEncodeStats s;
+  s.lookups = traffic_encode_lookups_.load(std::memory_order_relaxed);
+  s.encodes = traffic_encodes_.load(std::memory_order_relaxed);
+  return s;
 }
 
 // RAII lease: returns the session to the pool at scope exit so its warm
@@ -228,7 +250,7 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     const std::vector<const traj::Trip*>& batch, util::Rng* rng,
     bool training, std::vector<nn::VarPtr>* extra_loss_terms,
     LossStats* stats, traffic::TrafficTensorCache* traffic_cache,
-    const traffic::TrafficOverlay* overlay) {
+    const traffic::TrafficOverlay* overlay, bool memoize_posterior) {
   const int64_t bsz = static_cast<int64_t>(batch.size());
   BatchContext ctx;
 
@@ -310,7 +332,13 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
         unique_tensors[i] = &overlaid[i];
       }
     }
-    TrafficPosterior post = traffic_encoder_->Encode(unique_tensors, training);
+    // A served single-trip context without a what-if edit reads the slot's
+    // memoized posterior; everything else encodes its own tensors.
+    DEEPST_CHECK(!memoize_posterior || batch.size() == 1);
+    TrafficPosterior post =
+        memoize_posterior && overlaid.empty()
+            ? MemoizedPosterior(cache, batch[0]->start_time_s)
+            : traffic_encoder_->Encode(unique_tensors, training);
     // Gather per-trip posterior params, then reparameterize per trip.
     nn::VarPtr mu_b = o::EmbeddingLookup(post.mu, trip_slot_index);
     nn::VarPtr logvar_b = o::EmbeddingLookup(post.logvar, trip_slot_index);
@@ -334,6 +362,34 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     }
   }
   return ctx;
+}
+
+TrafficPosterior DeepSTModel::MemoizedPosterior(
+    traffic::TrafficTensorCache* cache, double time_s) {
+  traffic_encode_lookups_.fetch_add(1, std::memory_order_relaxed);
+  const int64_t dim = config_.traffic_dim;
+  // One memo entry is the [2, traffic_dim] pair (mu; logvar) of a
+  // single-tensor evaluation-mode Encode, so rebuilding the posterior from
+  // it reproduces that Encode's outputs bit for bit.
+  const nn::Tensor rows = cache->EncodedForTime(
+      time_s, encoder_token_.load(std::memory_order_acquire),
+      [&](const nn::Tensor& tensor) {
+        traffic_encodes_.fetch_add(1, std::memory_order_relaxed);
+        const TrafficPosterior fresh =
+            traffic_encoder_->Encode({&tensor}, /*training=*/false);
+        nn::Tensor out({2, dim});
+        std::copy_n(fresh.mu->value().data(), dim, out.data());
+        std::copy_n(fresh.logvar->value().data(), dim, out.data() + dim);
+        return out;
+      });
+  nn::Tensor mu({1, dim});
+  nn::Tensor logvar({1, dim});
+  std::copy_n(rows.data(), dim, mu.data());
+  std::copy_n(rows.data() + dim, dim, logvar.data());
+  TrafficPosterior post;
+  post.mu = nn::Constant(std::move(mu));
+  post.logvar = nn::Constant(std::move(logvar));
+  return post;
 }
 
 nn::VarPtr DeepSTModel::Loss(const std::vector<const traj::Trip*>& batch,
@@ -473,7 +529,7 @@ PredictionContext DeepSTModel::MakeContextImpl(
   std::vector<const traj::Trip*> batch = {&probe};
   BatchContext ctx =
       MakeBatchContext(batch, rng, /*training=*/false, nullptr, nullptr,
-                       traffic_cache, overlay);
+                       traffic_cache, overlay, /*memoize_posterior=*/true);
 
   PredictionContext out;
   out.destination = query.destination;

@@ -80,6 +80,14 @@ struct ContextOptions {
   const traffic::TrafficOverlay* overlay = nullptr;
 };
 
+// Served traffic posteriors: `lookups` counts served contexts that read the
+// slot memo (TrafficTensorCache::EncodedForTime), `encodes` the encoder runs
+// those lookups caused. encodes <= lookups; the difference is memo hits.
+struct TrafficEncodeStats {
+  int64_t lookups = 0;
+  int64_t encodes = 0;
+};
+
 // Loss diagnostics for one minibatch (per-trip averages).
 struct LossStats {
   double total = 0.0;
@@ -282,10 +290,17 @@ class DeepSTModel : public nn::Module {
   // lease ends. The serve watchdog calls this to recycle scratch state a
   // hung or fault-poisoned worker may have left behind, without touching
   // the threads themselves; subsequent calls build fresh sessions on demand.
+  // It is also the contract for in-place weight swaps: it drops the packed
+  // weights and re-draws the encoder token, so no posterior memoized under
+  // the old weights is read again.
   void RetirePooledSessions();
   // Sessions currently leased out (zero once a drain completes; the chaos
   // soak asserts no lease is ever leaked).
   int64_t outstanding_session_leases() const;
+
+  // Served-posterior memo accounting since construction (see
+  // TrafficEncodeStats).
+  TrafficEncodeStats traffic_encode_stats() const;
 
  private:
   // Next-slot logits [B, N_max] for the current hidden state plus context
@@ -311,7 +326,9 @@ class DeepSTModel : public nn::Module {
   };
   // `traffic_cache` overrides the construction-time cache (pinned snapshot
   // serving); `overlay` applies a what-if edit to a copy of each unique
-  // traffic tensor. Training passes neither.
+  // traffic tensor. `memoize_posterior` (single-trip serving batches only)
+  // reads the posterior from the cache's per-slot memo when no overlay
+  // applies. Training passes none of them.
   BatchContext MakeBatchContext(const std::vector<const traj::Trip*>& batch,
                                 util::Rng* rng, bool training,
                                 std::vector<nn::VarPtr>* extra_loss_terms,
@@ -319,7 +336,13 @@ class DeepSTModel : public nn::Module {
                                 traffic::TrafficTensorCache* traffic_cache =
                                     nullptr,
                                 const traffic::TrafficOverlay* overlay =
-                                    nullptr);
+                                    nullptr,
+                                bool memoize_posterior = false);
+  // q(c|C) for the slot of `time_s`, encoded once per slot and encoder
+  // token in `cache` (TrafficTensorCache::EncodedForTime): the same bits as
+  // a fresh single-tensor Encode in evaluation mode.
+  TrafficPosterior MemoizedPosterior(traffic::TrafficTensorCache* cache,
+                                     double time_s);
   // MakeContext body parameterized on the snapshot source and overlay; the
   // public overloads delegate here.
   PredictionContext MakeContextImpl(const RouteQuery& query, util::Rng* rng,
@@ -350,6 +373,13 @@ class DeepSTModel : public nn::Module {
   std::unique_ptr<DestinationProxyModel> proxy_;
   std::unique_ptr<nn::EmbeddingLayer> final_segment_emb_;  // CSSRNN mode
   std::unique_ptr<TrafficEncoder> traffic_encoder_;
+
+  // Names the current encoder weights in every TrafficTensorCache memo:
+  // drawn from a process-wide counter that never repeats, re-drawn by
+  // RetirePooledSessions.
+  std::atomic<uint64_t> encoder_token_;
+  std::atomic<int64_t> traffic_encode_lookups_{0};
+  std::atomic<int64_t> traffic_encodes_{0};
 
   std::mutex session_mu_;
   std::vector<std::unique_ptr<infer::InferenceSession>> session_pool_;

@@ -530,6 +530,9 @@ ServingStats ServingContext::stats() const {
   s.deadline_budget = n_deadline_budget_.load(std::memory_order_relaxed);
   s.overlay_dropped = n_overlay_dropped_.load(std::memory_order_relaxed);
   s.what_if = n_what_if_.load(std::memory_order_relaxed);
+  const TrafficEncodeStats enc = model_->traffic_encode_stats();
+  s.traffic_encode_lookups = enc.lookups;
+  s.traffic_encodes = enc.encodes;
   return s;
 }
 

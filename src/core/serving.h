@@ -92,6 +92,11 @@ struct ServingStats {
   int64_t deadline_budget = 0;
   int64_t overlay_dropped = 0;
   int64_t what_if = 0;      // OK results answered under an applied overlay
+  // The served model's posterior memo totals (DeepSTModel::
+  // traffic_encode_stats): contexts that read the per-slot memo and the
+  // encoder runs they caused. traffic_encodes <= traffic_encode_lookups.
+  int64_t traffic_encode_lookups = 0;
+  int64_t traffic_encodes = 0;
 };
 
 // One request inside a coalesced cross-client batch (see ExecuteBatch).

@@ -85,6 +85,7 @@ std::string MetricsSnapshot::ToJson() const {
       "\"batch_requests\": %lld, \"batch_shape\": %s, "
       "\"watchdog_recycles\": %lld, "
       "\"workers_spawned\": %lld, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+      "\"traffic_encode_lookups\": %lld, \"traffic_encodes\": %lld, "
       "\"traffic\": {\"enabled\": %s, \"generation\": %lld, \"swaps\": %lld, "
       "\"snapshot_age_s\": %.3f, \"rows_accepted\": %lld, "
       "\"rows_rejected\": %lld, \"rows_pending\": %lld, "
@@ -98,6 +99,8 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<long long>(batches), static_cast<long long>(batch_requests),
       shape.c_str(), static_cast<long long>(watchdog_recycles),
       static_cast<long long>(workers_spawned), p50_ms, p99_ms,
+      static_cast<long long>(traffic_encode_lookups),
+      static_cast<long long>(traffic_encodes),
       traffic_enabled ? "true" : "false",
       static_cast<long long>(traffic_generation),
       static_cast<long long>(traffic_swaps), traffic_snapshot_age_s,

@@ -90,6 +90,11 @@ struct MetricsSnapshot {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
 
+  // Served traffic posteriors (core::ServingStats): memo lookups and the
+  // encoder runs they caused; traffic_encodes <= traffic_encode_lookups.
+  int64_t traffic_encode_lookups = 0;
+  int64_t traffic_encodes = 0;
+
   // Always 0; see DeepSTModel::transition_memo_stats.
   int64_t cache_lookups = 0;
   int64_t cache_hits = 0;

@@ -21,6 +21,9 @@ Server::~Server() { Shutdown(); }
 
 MetricsSnapshot Server::snapshot() const {
   MetricsSnapshot s = Snapshot(metrics_);
+  const core::ServingStats serving = context_->stats();
+  s.traffic_encode_lookups = serving.traffic_encode_lookups;
+  s.traffic_encodes = serving.traffic_encodes;
   traffic::SnapshotStore* store = context_->snapshot_store();
   if (store != nullptr) {
     const traffic::SnapshotStoreStats ts = store->stats();

@@ -125,10 +125,11 @@ void TrafficTensorCache::AddObservations(
   }
   std::lock_guard<std::mutex> lock(cache_mu_);
   cache_.clear();
+  encoded_.clear();
 }
 
 template <typename Fn>
-void TrafficTensorCache::ForEachInWindow(double window_start,
+bool TrafficTensorCache::ForEachInWindow(double window_start,
                                          double window_end, Fn&& fn) const {
   const int first_slot = SlotOf(std::max(0.0, window_start));
   const int last_slot = SlotOf(window_end);
@@ -138,10 +139,14 @@ void TrafficTensorCache::ForEachInWindow(double window_start,
         [](const SlotBucket& b, int s) { return b.slot < s; });
     for (; it != shard.buckets.end() && it->slot <= last_slot; ++it) {
       for (const auto& obs : it->obs) {
-        if (obs.time_s >= window_start && obs.time_s < window_end) fn(obs);
+        if (obs.time_s >= window_start && obs.time_s < window_end &&
+            !fn(obs)) {
+          return false;
+        }
       }
     }
   }
+  return true;
 }
 
 bool TrafficTensorCache::HasObservations(double time_s) const {
@@ -150,10 +155,8 @@ bool TrafficTensorCache::HasObservations(double time_s) const {
   const int slot = SlotOf(time_s);
   const double slot_start = slot * slot_seconds_;
   const double window_start = slot_start - window_seconds_;
-  bool found = false;
-  ForEachInWindow(window_start, slot_start,
-                  [&](const SpeedObservation&) { found = true; });
-  return found;
+  return !ForEachInWindow(window_start, slot_start,
+                          [](const SpeedObservation&) { return false; });
 }
 
 const nn::Tensor& TrafficTensorCache::TensorForTime(double time_s) {
@@ -171,12 +174,37 @@ const nn::Tensor& TrafficTensorCache::TensorForTime(double time_s) {
   std::vector<SpeedObservation> window_obs;
   ForEachInWindow(window_start, slot_start, [&](const SpeedObservation& obs) {
     window_obs.push_back(obs);
+    return true;
   });
   nn::Tensor built = builder_.Build(window_obs);
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto [pos, inserted] = cache_.emplace(slot, std::move(built));
   (void)inserted;  // A racing builder may have inserted the same content.
   return pos->second;
+}
+
+nn::Tensor TrafficTensorCache::EncodedForTime(
+    double time_s, uint64_t token,
+    const std::function<nn::Tensor(const nn::Tensor&)>& encode) {
+  const int slot = SlotOf(time_s);
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = encoded_.find(slot);
+    if (it != encoded_.end() && it->second.token == token) {
+      return it->second.value;
+    }
+  }
+  // Encode outside the lock, as TensorForTime builds: racing encoders of the
+  // same (slot, token) produce identical bits and the first insert wins; a
+  // different token's entry is replaced.
+  nn::Tensor value = encode(TensorForTime(time_s));
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  Encoded& entry = encoded_[slot];
+  if (entry.token != token) {
+    entry.token = token;
+    entry.value = value;
+  }
+  return value;
 }
 
 util::StatusOr<std::vector<SpeedObservation>> LoadObservationsCsv(

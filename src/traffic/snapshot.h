@@ -1,6 +1,8 @@
 #ifndef DEEPST_TRAFFIC_SNAPSHOT_H_
 #define DEEPST_TRAFFIC_SNAPSHOT_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,14 +61,19 @@ class TrafficTensorBuilder {
 // per-cell accumulation order (and hence every tensor, bit for bit) is
 // independent of the sharding.
 //
+// Beside each slot tensor the cache can hold the slot's encoded traffic
+// posterior (EncodedForTime): q(c|C) depends only on C and the encoder
+// weights, so the trips that share a slot's C share its posterior too.
+//
 // Thread-safety contract: AddObservations is the only mutator and must not
 // run concurrently with anything else on the same instance. Once ingestion
-// is done, HasObservations / latest_observation_time / TensorForTime are
-// safe from any number of concurrent reader threads (proven by the TSan
-// regression in tests/traffic_test.cc). Live pipelines never mutate a
-// published instance at all: traffic::SnapshotStore folds new observations
-// into a Clone() off-thread and publishes the clone as the next immutable
-// generation, so readers and the builder never share a mutable cache.
+// is done, HasObservations / latest_observation_time / TensorForTime /
+// EncodedForTime are safe from any number of concurrent reader threads
+// (proven by the TSan regressions in tests/traffic_test.cc). Live pipelines
+// never mutate a published instance at all: traffic::SnapshotStore folds new
+// observations into a Clone() off-thread and publishes the clone as the next
+// immutable generation, so readers and the builder never share a mutable
+// cache.
 class TrafficTensorCache {
  public:
   TrafficTensorCache(const geo::GridSpec& grid, double slot_seconds,
@@ -85,9 +92,10 @@ class TrafficTensorCache {
   void AddObservations(const std::vector<SpeedObservation>& observations);
 
   // Deep copy of the observation store (shards + latest time). The clone's
-  // lazy tensor cache starts empty; tensors built from it are bit-identical
-  // to the source's. The double-buffered swap folds new observations into a
-  // clone so the published generation is never touched.
+  // lazy tensor cache and encoded-posterior memo start empty; tensors built
+  // from it are bit-identical to the source's. The double-buffered swap
+  // folds new observations into a clone so the published generation is
+  // never touched.
   std::unique_ptr<TrafficTensorCache> Clone() const;
 
   // Tensor for the slot containing `time_s`, built lazily from observations
@@ -95,9 +103,22 @@ class TrafficTensorCache {
   // concurrent eval workers; the slot content is independent of build order.
   const nn::Tensor& TensorForTime(double time_s);
 
+  // Encoded form of the slot containing `time_s`: `encode(tensor)` run on
+  // TensorForTime(time_s) once per (slot, token) and memoized. `token`
+  // names the encoder weights that produced the entry; a lookup with a
+  // different token re-encodes and replaces the slot's entry, so the memo
+  // holds at most one encoded tensor per slot. Same race rule as
+  // TensorForTime: concurrent first encoders of one slot and token run
+  // `encode` outside the lock and the first insert wins, so `encode` must be
+  // deterministic. Returns a copy (a later token's insert may replace the
+  // entry). AddObservations drops every entry with the tensors.
+  nn::Tensor EncodedForTime(
+      double time_s, uint64_t token,
+      const std::function<nn::Tensor(const nn::Tensor&)>& encode);
+
   // True when the window feeding the slot of `time_s` has at least one
   // observation. Serving uses this to decide between the live tensor and the
-  // prior-mean (DeepST-C) fallback.
+  // prior-mean (DeepST-C) fallback. Stops at the first in-window row.
   bool HasObservations(double time_s) const;
 
   // Latest observation time registered so far, or -inf when empty. Lets the
@@ -117,8 +138,9 @@ class TrafficTensorCache {
   int ShardOf(const geo::Point& p) const { return router_.ShardOf(p); }
 
  private:
-  // Clone() constructor: copies the observation store, starts with an empty
-  // tensor cache (mutexes are not copyable, and clones rebuild lazily).
+  // Clone() constructor: copies the observation store, starts with empty
+  // tensor and encoded caches (mutexes are not copyable, and clones rebuild
+  // lazily).
   struct CloneTag {};
   TrafficTensorCache(const TrafficTensorCache& other, CloneTag);
 
@@ -132,9 +154,16 @@ class TrafficTensorCache {
   };
 
   // Calls fn(obs) for every stored observation with time in
-  // [window_start, window_end), shard by shard, slots ascending.
+  // [window_start, window_end), shard by shard, slots ascending, until fn
+  // returns false. Returns false when fn stopped the walk.
   template <typename Fn>
-  void ForEachInWindow(double window_start, double window_end, Fn&& fn) const;
+  bool ForEachInWindow(double window_start, double window_end, Fn&& fn) const;
+
+  // Encoded memo entry for one slot (token 0 = never filled).
+  struct Encoded {
+    uint64_t token = 0;
+    nn::Tensor value;
+  };
 
   TrafficTensorBuilder builder_;
   double slot_seconds_;
@@ -142,10 +171,11 @@ class TrafficTensorCache {
   geo::TileRouter router_;
   std::vector<Shard> shards_;
   double latest_time_ = -1e300;
-  // Guards cache_ (lazily grown; node-based, so returned references stay
-  // valid across later insertions).
+  // Guards cache_ and encoded_ (lazily grown; node-based, so references
+  // returned by TensorForTime stay valid across later insertions).
   std::mutex cache_mu_;
   std::map<int, nn::Tensor> cache_;
+  std::map<int, Encoded> encoded_;
 };
 
 // Loads probe observations from a GPS CSV in the ExportGpsCsv layout

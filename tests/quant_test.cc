@@ -461,15 +461,16 @@ TEST(SharedWeightsTest, PackedOncePerGenerationAndShrinkWithPrecision) {
   EXPECT_LT(bytes[2], bytes[1]);  // int8 < bf16
 }
 
-// After an in-place weight mutation plus RetirePooledSessions, predictions
-// and scores must match a freshly built model with the mutated weights: no
-// derived inference state (packed weights, pooled session scratch) from the
-// old weights may survive the retirement.
+// After an in-place weight mutation plus RetirePooledSessions, contexts,
+// predictions and scores must match a freshly built model with the mutated
+// weights: no derived inference state (packed weights, pooled session
+// scratch, traffic posteriors memoized in the traffic cache) from the old
+// weights may survive the retirement.
 TEST(RetireSessionsTest, InPlaceWeightSwapMatchesFreshModel) {
   auto& world = TestWorld();
   const auto trips = TestTrips(4);
-  DeepSTConfig cfg = BaseConfig();
-  DeepSTModel model(world.net(), cfg, nullptr);
+  DeepSTConfig cfg = baselines::DeepStConfigOf(SmallConfig());
+  DeepSTModel model(world.net(), cfg, world.traffic_cache());
 
   // Warm the session pool and packed weights under the original weights.
   util::Rng crng(61);
@@ -480,27 +481,35 @@ TEST(RetireSessionsTest, InPlaceWeightSwapMatchesFreshModel) {
     (void)model.PredictRouteBeam(ctx, query.origin, &r);
   }
 
-  // Mutate the logit head in place (scale by -0.5 so argmax decisions
-  // actually change), then retire the pool -- the documented contract for
-  // in-place weight swaps.
+  // Mutate the logit head and the traffic encoder's mu head in place (scale
+  // by -0.5 so argmax decisions and the posterior actually change), then
+  // retire the pool -- the documented contract for in-place weight swaps.
+  int mutated = 0;
   for (const auto& p : model.Parameters()) {
-    if (p.name == "alpha/weight") {
+    if (p.name == "alpha/weight" || p.name == "traffic_encoder/mu/weight") {
       nn::Tensor& t = p.var->value();
       for (int64_t e = 0; e < t.numel(); ++e) t.data()[e] *= -0.5f;
+      ++mutated;
     }
   }
+  ASSERT_EQ(mutated, 2);
   model.RetirePooledSessions();
 
   // A fresh model built from the mutated weights is the ground truth.
   const std::vector<nn::NamedTensor> snapshot = nn::SnapshotParameters(model);
-  auto fresh = DeepSTModel::LoadFromParams(world.net(), cfg, nullptr,
-                                           snapshot);
+  auto fresh = DeepSTModel::LoadFromParams(world.net(), cfg,
+                                           world.traffic_cache(), snapshot);
   ASSERT_TRUE(fresh.ok());
   util::Rng crng_a(62), crng_b(62);
   for (const auto* rec : trips) {
     const RouteQuery query = eval::QueryFor(rec->trip);
     PredictionContext ctx_m = model.MakeContext(query, &crng_a);
     PredictionContext ctx_f = fresh.value()->MakeContext(query, &crng_b);
+    ASSERT_EQ(ctx_m.traffic_repr.numel(), ctx_f.traffic_repr.numel());
+    EXPECT_EQ(0, std::memcmp(ctx_m.traffic_repr.data(),
+                             ctx_f.traffic_repr.data(),
+                             static_cast<size_t>(ctx_m.traffic_repr.numel()) *
+                                 sizeof(float)));
     util::Rng r1(4), r2(4);
     EXPECT_EQ(model.PredictRouteBeam(ctx_m, query.origin, &r1),
               fresh.value()->PredictRouteBeam(ctx_f, query.origin, &r2));

@@ -132,6 +132,17 @@ TEST_F(ServeTest, BatchedExecutionMatchesDirectServingBitwise) {
   EXPECT_GT(shape_total, 0);
   EXPECT_LE(shape_total, snap.batches);
   EXPECT_NE(snap.ToJson().find("\"batch_shape\""), std::string::npos);
+  // Posterior memo invariants: every served context with live traffic looks
+  // the memo up once and encodes at most once; the batched pass replays the
+  // direct queries' slots on the same snapshot, so it must hit.
+  EXPECT_GT(snap.traffic_encode_lookups, 0);
+  EXPECT_LE(snap.traffic_encodes, snap.traffic_encode_lookups);
+  EXPECT_LT(snap.traffic_encodes, snap.traffic_encode_lookups);
+  EXPECT_EQ(snap.traffic_encode_lookups,
+            serving.stats().traffic_encode_lookups);
+  EXPECT_NE(snap.ToJson().find("\"traffic_encode_lookups\": "),
+            std::string::npos);
+  EXPECT_NE(snap.ToJson().find("\"traffic_encodes\": "), std::string::npos);
 }
 
 TEST_F(ServeTest, ScoreRequestsReturnPerCandidateScores) {

@@ -671,6 +671,83 @@ TEST_F(StreamingTest, SwapOutsideQueryWindowKeepsResultsBitwise) {
   EXPECT_EQ(after.value().snapshot_generation, 2u);
 }
 
+bool SameContextBits(const core::PredictionContext& a,
+                     const core::PredictionContext& b) {
+  return a.has_traffic == b.has_traffic && a.has_dest == b.has_dest &&
+         SameTensorBytes(a.traffic_repr, b.traffic_repr) &&
+         SameTensorBytes(a.traffic_term, b.traffic_term) &&
+         SameTensorBytes(a.dest_repr, b.dest_repr) &&
+         SameTensorBytes(a.dest_term, b.dest_term);
+}
+
+// Served contexts read the slot's memoized posterior. A cold memo (this
+// call encodes), a warm memo (hit) and the unmemoized path (a scale-by-1
+// overlay: a bitwise copy of the tensor through the what-if branch, which
+// always encodes) must give the same context, routes, scores and rng
+// stream, on the model's own cache and on a pinned store generation, with
+// MAP and sampled prediction.
+TEST_F(StreamingTest, MemoizedPosteriorBitwiseEqualsFreshEncode) {
+  const traj::TripRecord& rec = CoveredTrip();
+  const core::RouteQuery query = eval::QueryFor(rec.trip);
+  traffic::TrafficOverlay identity;
+  identity.edits.push_back({traffic::OverlayEdit::Kind::kScaleSpeed,
+                            TestWorld().net().bounds().min,
+                            TestWorld().net().bounds().max, 1.0});
+  const std::vector<traj::Route> candidates = {
+      rec.trip.route,
+      traj::Route(rec.trip.route.begin(), rec.trip.route.end() - 1)};
+  for (bool map_prediction : {true, false}) {
+    for (bool pinned : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "map_prediction=" << map_prediction
+                                      << " pinned=" << pinned);
+      core::DeepSTConfig cfg = baselines::DeepStConfigOf(SmallConfig());
+      cfg.map_prediction = map_prediction;
+      auto own = TestWorld().traffic_cache()->Clone();
+      core::DeepSTModel model(TestWorld().net(), cfg, own.get());
+      auto store = SeededStore();
+      traffic::SnapshotPin pin;
+      core::ContextOptions options;
+      if (pinned) {
+        pin = store->Acquire();
+        options.traffic_cache = pin.cache();
+      }
+      struct Run {
+        core::PredictionContext ctx;
+        traj::Route route;
+        std::vector<double> scores;
+        uint64_t next_draw = 0;
+      };
+      auto run = [&](const core::ContextOptions& opts) {
+        Run r;
+        util::Rng rng(99);
+        r.ctx = model.MakeContext(query, &rng, opts);
+        r.route = model.PredictRoute(r.ctx, query.origin, &rng);
+        r.scores = model.ScoreRoutes(r.ctx, candidates);
+        r.next_draw = rng.NextUint64();
+        return r;
+      };
+      const Run cold = run(options);
+      EXPECT_EQ(model.traffic_encode_stats().lookups, 1);
+      EXPECT_EQ(model.traffic_encode_stats().encodes, 1);
+      const Run warm = run(options);
+      EXPECT_EQ(model.traffic_encode_stats().lookups, 2);
+      EXPECT_EQ(model.traffic_encode_stats().encodes, 1);
+      core::ContextOptions fresh_opts = options;
+      fresh_opts.overlay = &identity;
+      const Run fresh = run(fresh_opts);
+      EXPECT_EQ(model.traffic_encode_stats().lookups, 2);  // bypassed memo
+      for (const Run* r : {&warm, &fresh}) {
+        EXPECT_TRUE(SameContextBits(cold.ctx, r->ctx));
+        EXPECT_EQ(cold.route, r->route);
+        ASSERT_EQ(cold.scores.size(), r->scores.size());
+        EXPECT_EQ(0, std::memcmp(cold.scores.data(), r->scores.data(),
+                                 cold.scores.size() * sizeof(double)));
+        EXPECT_EQ(cold.next_draw, r->next_draw);
+      }
+    }
+  }
+}
+
 TEST_F(StreamingTest, IngestRequestsThroughServingContext) {
   // Without a store: refused, counted as a failure.
   core::ServingContext static_serving(&TestModel(), &TestWorld().index(), {});
@@ -736,6 +813,29 @@ TEST_F(StreamingTest, WhatIfOverlayServesCounterfactuals) {
   ASSERT_TRUE(reality2.ok());
   EXPECT_EQ(reality2.value().route, reality.value().route);
   EXPECT_FALSE(reality2.value().what_if);
+
+  // Nor into the posterior memo: on a cold generation whose first query is
+  // the what-if, the base route and score that follow are still bitwise the
+  // base answer (what-if contexts never read or write the memo).
+  const traj::Route& truth = CoveredTrip().trip.route;
+  auto base_score = serving.ScoreRoute(base_query, truth);
+  ASSERT_TRUE(base_score.ok());
+  auto cold_store = SeededStore();
+  core::ServingContext cold(&TestModel(), &TestWorld().index(), {},
+                            cold_store.get());
+  const core::TrafficEncodeStats enc0 = TestModel().traffic_encode_stats();
+  ASSERT_TRUE(cold.Predict(what_if).ok());
+  auto what_if_score = cold.ScoreRoute(what_if, truth);
+  ASSERT_TRUE(what_if_score.ok());
+  EXPECT_EQ(TestModel().traffic_encode_stats().lookups, enc0.lookups);
+  auto cold_reality = cold.Predict(base_query);
+  ASSERT_TRUE(cold_reality.ok());
+  EXPECT_EQ(cold_reality.value().route, reality.value().route);
+  auto cold_score = cold.ScoreRoute(base_query, truth);
+  ASSERT_TRUE(cold_score.ok());
+  EXPECT_EQ(0, std::memcmp(&cold_score.value().score,
+                           &base_score.value().score, sizeof(double)));
+  EXPECT_EQ(TestModel().traffic_encode_stats().encodes, enc0.encodes + 1);
 
   // Malformed overlays are invalid queries, not degradations.
   core::RouteQuery bad = base_query;

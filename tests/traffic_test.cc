@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -12,6 +13,26 @@
 namespace deepst {
 namespace traffic {
 namespace {
+
+// Stand-in encoder for the posterior memo: a deterministic [2, 2] summary
+// of the slot tensor, scaled by the token so entries of different tokens
+// differ. Counts its runs in *calls.
+nn::Tensor FakeEncode(const nn::Tensor& t, uint64_t token,
+                      std::atomic<int>* calls) {
+  calls->fetch_add(1);
+  nn::Tensor out({2, 2});
+  out[0] = static_cast<float>(t.Sum() * static_cast<double>(token));
+  out[1] = static_cast<float>(t.numel());
+  out[2] = static_cast<float>(token);
+  out[3] = t.numel() > 0 ? t[0] : 0.0f;
+  return out;
+}
+
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
 
 std::unique_ptr<roadnet::RoadNetwork> SmallCity() {
   roadnet::GridCityConfig cfg;
@@ -210,6 +231,37 @@ TEST(TrafficTensorCacheTest, CloneBitIdenticalAndIndependent) {
   clone->AddObservations({{{450, 450}, 5000.0, 2.0}});
   EXPECT_GT(clone->TensorForTime(6500.0).Sum(), 0.0);
   EXPECT_DOUBLE_EQ(cache.TensorForTime(6500.0).Sum(), 0.0);
+
+  // Encoded memo: one encode per (slot, token); a new token re-encodes and
+  // replaces the entry; clones start empty; AddObservations drops entries.
+  std::atomic<int> calls{0};
+  auto encode = [&calls](uint64_t token) {
+    return [&calls, token](const nn::Tensor& t) {
+      return FakeEncode(t, token, &calls);
+    };
+  };
+  const nn::Tensor first = cache.EncodedForTime(3600.0, 7, encode(7));
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(SameBits(cache.EncodedForTime(3700.0, 7, encode(7)), first));
+  EXPECT_EQ(calls.load(), 1);  // same slot, same token: memo hit
+  EXPECT_FALSE(SameBits(cache.EncodedForTime(3600.0, 8, encode(8)), first));
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_TRUE(SameBits(cache.EncodedForTime(3600.0, 7, encode(7)), first));
+  EXPECT_EQ(calls.load(), 3);  // token 8 replaced token 7's entry
+  auto clone2 = cache.Clone();
+  EXPECT_TRUE(SameBits(clone2->EncodedForTime(3600.0, 7, encode(7)), first));
+  EXPECT_EQ(calls.load(), 4);  // the clone's memo starts empty
+  // New rows in the slot's window: the memo entry must not survive them.
+  cache.AddObservations({{{650, 650}, 3000.0, 9.0}});
+  const nn::Tensor after = cache.EncodedForTime(3600.0, 7, encode(7));
+  EXPECT_EQ(calls.load(), 5);
+  EXPECT_FALSE(SameBits(after, first));
+  EXPECT_TRUE(SameBits(after, FakeEncode(cache.TensorForTime(3600.0), 7,
+                                         &calls)));
+  // The clone taken before the ingest keeps its own entry.
+  const int before = calls.load();
+  EXPECT_TRUE(SameBits(clone2->EncodedForTime(3600.0, 7, encode(7)), first));
+  EXPECT_EQ(calls.load(), before);
 }
 
 // TSan regression for the published-snapshot reader contract: once
@@ -250,6 +302,57 @@ TEST(TrafficTensorCacheTest, ConcurrentReadersAreSafe) {
   for (int w = 1; w < kThreads; ++w) {
     EXPECT_DOUBLE_EQ(sums[0], sums[static_cast<size_t>(w)]);
   }
+}
+
+// TSan regression for the encoded-posterior memo: threads race to encode the
+// same cold slots under two tokens, so first inserts, memo hits and
+// token-mismatch replacements all interleave. Every returned tensor must be
+// exactly its token's encoding. Run under tools/check_sanitize.sh thread.
+TEST(TrafficTensorCacheTest, ConcurrentEncodersShareSlots) {
+  geo::BoundingBox box;
+  box.Extend({0, 0});
+  box.Extend({1000, 1000});
+  geo::GridSpec grid(box, 125.0);
+  TrafficTensorCache cache(grid, 600.0, 1200.0);
+  std::vector<SpeedObservation> obs;
+  for (int i = 0; i < 500; ++i) {
+    obs.push_back({{(i * 73) % 1000 + 0.5, (i * 131) % 1000 + 0.5}, 37.0 * i,
+                   3.0 + (i % 11)});
+  }
+  cache.AddObservations(obs);
+  auto reference = cache.Clone();  // expected encodings, built serially
+  std::atomic<int> ref_calls{0};
+  std::vector<double> times;
+  for (double t = 700.0; t < 20000.0; t += 600.0) times.push_back(t);
+
+  constexpr int kThreads = 8;
+  std::atomic<int> calls{0};
+  std::atomic<int> lookups{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int round = 0; round < 10; ++round) {
+        for (double t : times) {
+          // Half the threads use token 1, half token 2, so the two tokens
+          // keep replacing each other's entries.
+          const uint64_t token = 1 + static_cast<uint64_t>((w + round) % 2);
+          const nn::Tensor got =
+              cache.EncodedForTime(t, token, [&](const nn::Tensor& c) {
+                return FakeEncode(c, token, &calls);
+              });
+          lookups.fetch_add(1);
+          const nn::Tensor want =
+              FakeEncode(reference->TensorForTime(t), token, &ref_calls);
+          if (!SameBits(got, want)) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(calls.load(), static_cast<int>(times.size()));
+  EXPECT_LE(calls.load(), lookups.load());
 }
 
 TEST(TrafficTensorCacheTest, ObservationInOwnSlotExcluded) {

@@ -50,7 +50,7 @@ export DEEPST_FAST=1
 # (docs/streaming.md): concurrent lazy slot builds and swaps racing the
 # reader fleet must be clean under TSan.
 "$BUILD_DIR"/tests/traffic_test \
-  --gtest_filter='TrafficTensorCacheTest.ConcurrentReadersAreSafe' \
+  --gtest_filter='TrafficTensorCacheTest.Concurrent*' \
   --gtest_repeat=3
 
 # Short chaos soak: repeat the fault-driven serve tests (poisoned batches,
